@@ -19,7 +19,7 @@ from .betti import BettiTable, betti_connected_sum_K, betti_fiber_product_K
 from .constructions import Factor, connected_sum_K, fiber_product_K
 from .doubling import doubling_certificate
 from .fields import GF, QQ, DEFAULT_PRIME
-from .ideals import Algebra
+from .ideals import DEFAULT_DEGREE_CAP, Algebra, NotArtinianError
 from .oracle import ScaleCapError, tor_betti
 from .poly import Poly, Ring, parse_poly
 
@@ -38,8 +38,10 @@ def _parse_field(spec):
     raise UsageError(f"bad field spec {spec!r}: expected \"QQ\" or {{\"prime\": p}}")
 
 
-def parse_algebra_file(path, field_override=None):
-    """Read a JSON algebra description into a Factor."""
+def parse_algebra_file(path, field_override=None, degree_cap=DEFAULT_DEGREE_CAP):
+    """Read a JSON algebra description into a Factor; degree_cap bounds the
+    degrees an "ideal" input is scanned through before it is declared not
+    Artinian."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -66,9 +68,9 @@ def parse_algebra_file(path, field_override=None):
             F = DualGenerator(parse_poly(ring, data["dual_generator"]))
             return Factor(algebra=annihilator(F), dual=F)
         gens = [parse_poly(ring, s) for s in data["ideal"]]
-    except ValueError as err:
+    except (ValueError, ZeroDivisionError) as err:
         raise UsageError(f"{path}: {err}")
-    return Factor(algebra=Algebra(ring, gens))
+    return Factor(algebra=Algebra(ring, gens, degree_cap=degree_cap))
 
 
 def _emit(args, text_lines, machine):
@@ -108,7 +110,7 @@ def _betti_both(formula, oracle_table, args, hilbert=None):
 
 def _load_factors(args):
     override = _parse_field(args.field) if args.field else None
-    return [parse_algebra_file(p, override) for p in args.files]
+    return [parse_algebra_file(p, override, args.degree_cap) for p in args.files]
 
 
 def _cmd_hilbert(args):
@@ -198,9 +200,7 @@ def _cmd_betti(args):
 
 
 def _cmd_doubling(args):
-    override = _parse_field(args.field) if args.field else None
-    j_fac = parse_algebra_file(args.files[0], override)
-    i_fac = parse_algebra_file(args.files[1], override)
+    j_fac, i_fac = _load_factors(args)
     cert = doubling_certificate(j_fac.algebra, i_fac.algebra)
     if cert.passed:
         _emit(
@@ -318,7 +318,9 @@ def build_parser():
         sp.add_argument("--output", choices=["text", "machine"], default="text")
         sp.add_argument("--max-dim", type=int, default=2000,
                         help="oracle cap on dim_K of the quotient")
-        sp.add_argument("--degree-cap", type=int, default=64)
+        sp.add_argument("--degree-cap", type=int, default=DEFAULT_DEGREE_CAP,
+                        help="degrees an ideal input is scanned through before "
+                        "it is declared not Artinian")
 
     sp = sub.add_parser("hilbert", help="Hilbert function of one algebra")
     common(sp, 1)
@@ -347,12 +349,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as err:
-        # argparse exits with 2 on usage errors already
-        raise err
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "hilbert":
             return _cmd_hilbert(args)
@@ -369,13 +366,7 @@ def main(argv=None):
         if args.command == "verify":
             return _cmd_verify(args)
         raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ScaleCapError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
+    except (UsageError, ScaleCapError, NotArtinianError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

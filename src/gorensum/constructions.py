@@ -20,7 +20,7 @@ from .apolarity import (
     contract,
     dual_socle,
 )
-from .ideals import Algebra, IdealSlices
+from .ideals import Algebra, IdealSlices, minimal_generators
 from .poly import Poly, embed, joined_ring
 
 
@@ -130,12 +130,10 @@ def connected_sum_K(factors) -> ConstructionResult:
     dual_gen = DualGenerator(f_big)
     dual_slices = annihilator_slices(dual_gen)
 
-    fld = big.field
+    # both slices are canonical reduced echelon forms, so equal ideals give
+    # equal (rows, pivots)
     for deg in range(d + 2):
-        ncols = len(big.monomial_basis(deg))
-        if not linalg.row_space_equal(
-            fld, pres.slices.slice(deg)[0], dual_slices.slice(deg)[0], ncols
-        ):
+        if pres.slices.slice(deg) != dual_slices.slice(deg):
             raise RouteDisagreementError(
                 "presentation and dual routes disagree in degree "
                 f"{deg}: dims {pres.slices.dim(deg)} vs "
@@ -189,7 +187,7 @@ def connected_sum_T(F: DualGenerator, G: DualGenerator, tau: Poly):
             fld, ann_f.slice(deg)[0], ann_g.slice(deg)[0], ncols
         )
     fp_slices = IdealSlices.from_degree_rows(ring, inter)
-    fp_algebra = Algebra(ring, _present(fp_slices, d + 1))
+    fp_algebra = Algebra(ring, minimal_generators(fp_slices, d + 1))
 
     cs_algebra = annihilator(DualGenerator(F.F - G.F))
 
@@ -216,12 +214,6 @@ def connected_sum_T(F: DualGenerator, G: DualGenerator, tau: Poly):
     fp = ConstructionResult(fp_algebra, fp_hf, "fiber_product")
     cs = ConstructionResult(cs_algebra, cs_hf, "connected_sum", socle_degree=d)
     return fp, cs, t_algebra
-
-
-def _present(slices, dmax):
-    from .ideals import minimal_generators
-
-    return minimal_generators(slices, dmax)
 
 
 def _proportional(p, q):

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 from .constructions import connected_sum_K, fiber_product_ideal
 from .ideals import Algebra, NotArtinianError, _stabilized
-from .linalg import EchelonBasis
 from .oracle import socle_basis
 
 NOTE = (
@@ -59,7 +58,7 @@ def cm1_check(algebra):
     reg = len(h) - 1
 
     for d in range(reg + 2):
-        if _killed_by_all_variables(algebra, d):
+        if algebra.slices.socle(d):
             return Cm1Result(
                 ok=False,
                 h_vector=tuple(h),
@@ -70,37 +69,6 @@ def cm1_check(algebra):
     return Cm1Result(
         ok=True, h_vector=tuple(h), reg=reg, hilbert=tuple(hf[: stab + 1])
     )
-
-
-def _killed_by_all_variables(algebra, d):
-    """Does (Q/J)_d contain a nonzero element annihilated by all variables?"""
-    ring = algebra.ring
-    f = ring.field
-    slices = algebra.slices
-    qd = slices.quotient_monomials(d)
-    if not qd:
-        return False
-    basis = ring.monomial_basis(d)
-    up_index = ring.monomial_index(d + 1)
-    up_q = slices.quotient_monomials(d + 1)
-    rows = []
-    for mono_idx in qd:
-        col = []
-        for k in range(ring.nvars):
-            e = list(basis[mono_idx])
-            e[k] += 1
-            vec = [f.zero] * len(up_index)
-            vec[up_index[tuple(e)]] = f.one
-            reduced = slices.reduce(d + 1, vec)
-            col.extend(reduced[m] for m in up_q)
-        rows.append(col)
-    # columns of the stacked multiplication map, one row per basis element;
-    # a nontrivial kernel means rows are dependent
-    eb = EchelonBasis(f, len(rows[0]) if rows[0] else 1)
-    for r in rows:
-        if eb.insert(r if r else [f.zero]) is None:
-            return True
-    return False
 
 
 def canonical_hilbert(h):
@@ -164,12 +132,7 @@ def doubling_certificate(J: Algebra, I: Algebra) -> DoublingCertificate:
     contained = True
     for d in range(dmax + 1):
         rows = J.slices.slice(d)[0]
-        red_i, piv_i = I.slices.slice(d)
-        eb = EchelonBasis(J.ring.field, len(J.ring.monomial_basis(d)))
-        for row, c in zip(red_i, piv_i):
-            eb.rows.append(list(row))
-            eb.pivots.append(c)
-        if not all(eb.contains(r) for r in rows):
+        if any(any(I.slices.reduce(d, r)) for r in rows):
             contained = False
             reasons["containment"] = f"J is not contained in I in degree {d}"
             break

@@ -108,6 +108,44 @@ class IdealSlices:
         red, piv = self.slice(d)
         return linalg.reduce_vector(self.ring.field, red, piv, vec)
 
+    def multiplication(self, k, d):
+        """Multiplication by x_k from (Q/I)_d to (Q/I)_(d+1), over the
+        quotient monomial bases: one column per quotient monomial m of
+        degree d.
+
+        The normal form of x_k*m is read off the echelon slice: minus the
+        row pivoted at x_k*m (whose other entries all sit on quotient
+        monomials), or x_k*m itself when it is a quotient monomial.
+        """
+        f = self.ring.field
+        rows, piv = self.slice(d + 1)
+        row_at = dict(zip(piv, rows))
+        up_q = self.quotient_monomials(d + 1)
+        up_pos = {m: r for r, m in enumerate(up_q)}
+        basis = self.ring.monomial_basis(d)
+        up_index = self.ring.monomial_index(d + 1)
+        cols = []
+        for m in self.quotient_monomials(d):
+            e = list(basis[m])
+            e[k] += 1
+            j = up_index[tuple(e)]
+            if j in row_at:
+                row = row_at[j]
+                cols.append([f.neg(row[q]) for q in up_q])
+            else:
+                col = [f.zero] * len(up_q)
+                col[up_pos[j]] = f.one
+                cols.append(col)
+        return cols
+
+    def socle(self, d):
+        """Basis of the degree-d elements of Q/I killed by every variable,
+        as rows over the quotient monomials of degree d."""
+        rows = []
+        for k in range(self.ring.nvars):
+            rows.extend(list(r) for r in zip(*self.multiplication(k, d)))
+        return linalg.kernel_rows(self.ring.field, rows, self.codim(d))
+
     def contains(self, poly):
         if poly.is_zero():
             return True
@@ -131,28 +169,27 @@ def ideal_slices(ring, generators, dmax):
 def minimal_generators(slices, dmax):
     """Canonical minimal generators of the ideal, scanning degrees 1..dmax.
 
-    In each degree the new generators are echelon representatives of
-    slice(d) modulo (variables * slice(d-1)); their count equals the first
+    In each degree the new generators are the echelon rows of slice(d)
+    whose pivot is not a pivot of (variables * slice(d-1)); they span the
+    complement with zeros on those pivots, and their count equals the first
     graded Betti number beta_{1,d} of the quotient.
     """
     ring = slices.ring
-    f = ring.field
     gens = []
     for d in range(1, dmax + 1):
-        ncols = len(ring.monomial_basis(d))
-        old = linalg.EchelonBasis(f, ncols)
         prev_rows, _ = slices.slice(d - 1)
+        up_pivots = set()
         if prev_rows:
-            for v in slices._multiply_up(d - 1, prev_rows):
-                old.insert(v)
-        new_rows = []
-        for row in slices.slice(d)[0]:
-            rem = old.insert(row)
-            if rem is not None:
-                new_rows.append(rem)
-        if new_rows:
-            red, _ = linalg._reduce_rows(f, new_rows, ncols)
-            gens.extend(Poly.from_vector(ring, d, v) for v in red)
+            up = slices._multiply_up(d - 1, prev_rows)
+            ncols = len(ring.monomial_basis(d))
+            _, piv = linalg._reduce_rows(ring.field, up, ncols, rank_only=True)
+            up_pivots = set(piv)
+        rows, piv = slices.slice(d)
+        gens.extend(
+            Poly.from_vector(ring, d, row)
+            for row, c in zip(rows, piv)
+            if c not in up_pivots
+        )
     return gens
 
 

@@ -1,10 +1,12 @@
 """Exact dense linear algebra: reduced row echelon form, rank, kernels.
 
 Two engines sit behind one interface: a vectorized numpy engine for prime
-fields (entries stay below 2**15, so int64 products never overflow) and a
-Fraction engine for the rationals.  Everything is deterministic: pivots are
-always the first nonzero entry scanning left to right, top to bottom, so
-identical inputs give bit-identical echelon forms.
+fields and a Fraction engine for the rationals.  The prime engine reduces
+lazily in int64: with k = min(rows, cols) pivots no entry exceeds
+k*(p-1)^2 + p, so it refuses (ValueError) any shape and prime for which that
+bound reaches 2^63 instead of returning a wrong answer.  Everything is
+deterministic: pivots are always the first nonzero entry scanning left to
+right, top to bottom, so identical inputs give bit-identical echelon forms.
 """
 
 import numpy as np
@@ -65,10 +67,14 @@ class Matrix:
 
 def _rref_prime(p, rows, ncols, rank_only=False):
     # Lazy modular reduction: the pivot row is normalized mod p, so one
-    # elimination step grows entries by at most (p-1)^2 < 2^31; hundreds of
-    # pivots stay far below 2^63, and columns are reduced only when read.
+    # elimination step grows an entry by at most (p-1)^2, and there are at
+    # most min(rows, cols) steps; columns are reduced only when read.
     if not rows or ncols == 0:
         return [], []
+    if min(len(rows), ncols) * (p - 1) ** 2 + p >= 2**63:
+        raise ValueError(
+            f"GF({p}): a {len(rows)}x{ncols} elimination could overflow int64"
+        )
     m = np.array(rows, dtype=np.int64) % p
     nrows = m.shape[0]
     pivots = []
@@ -134,49 +140,41 @@ def _rref_rational(rows, ncols, rank_only=False):
 
 def rref(matrix):
     """Reduced row echelon form.  Returns (echelon Matrix, pivot columns)."""
-    f = matrix.field
-    if f.is_prime_field:
-        red, piv = _rref_prime(f.p, matrix.rows, matrix.ncols)
-    else:
-        red, piv = _rref_rational(matrix.rows, matrix.ncols)
-    return Matrix(f, len(red), matrix.ncols, red), piv
+    red, piv = _reduce_rows(matrix.field, matrix.rows, matrix.ncols)
+    return Matrix(matrix.field, len(red), matrix.ncols, red), piv
 
 
 def rank(matrix):
-    f = matrix.field
-    if f.is_prime_field:
-        red, piv = _rref_prime(f.p, matrix.rows, matrix.ncols, rank_only=True)
-    else:
-        red, piv = _rref_rational(matrix.rows, matrix.ncols, rank_only=True)
+    _, piv = _reduce_rows(matrix.field, matrix.rows, matrix.ncols, rank_only=True)
     return len(piv)
 
 
 def kernel_basis(matrix):
-    """Matrix whose columns are the canonical basis of ker(matrix).
-
-    The basis comes from the reduced echelon form: one vector per free
-    column, with a 1 in the free position.  Column count is
-    ncols - rank(matrix) (rank-nullity).
-    """
-    f = matrix.field
-    red, piv = rref(matrix)
-    pivset = set(piv)
-    free = [c for c in range(matrix.ncols) if c not in pivset]
-    cols = []
-    for c in free:
-        v = [f.zero] * matrix.ncols
-        v[c] = f.one
-        for k, pc in enumerate(piv):
-            v[pc] = f.neg(red.rows[k][c])
-        cols.append(v)
-    rows = [[cols[j][i] for j in range(len(cols))] for i in range(matrix.ncols)]
-    return Matrix(f, matrix.ncols, len(cols), rows)
+    """Matrix whose columns are the canonical basis of ker(matrix)."""
+    ker = kernel_rows(matrix.field, matrix.rows, matrix.ncols)
+    rows = _transpose_rows(ker, matrix.ncols)
+    return Matrix(matrix.field, matrix.ncols, len(ker), rows)
 
 
 def kernel_rows(field, rows, ncols):
-    """Kernel of the matrix given as a row list; kernel vectors as rows."""
-    ker = kernel_basis(Matrix.from_rows(field, rows, ncols))
-    return [[ker.rows[i][j] for i in range(ker.nrows)] for j in range(ker.ncols)]
+    """Canonical basis of the kernel of the matrix given as a row list.
+
+    The basis comes from the reduced echelon form: one vector per free
+    column, with a 1 in the free position, so there are ncols - rank of them
+    (rank-nullity).  Kernel vectors are returned as rows.
+    """
+    red, piv = _reduce_rows(field, rows, ncols)
+    pivset = set(piv)
+    out = []
+    for c in range(ncols):
+        if c in pivset:
+            continue
+        v = [field.zero] * ncols
+        v[c] = field.one
+        for row, pc in zip(red, piv):
+            v[pc] = field.neg(row[c])
+        out.append(v)
+    return out
 
 
 def reduce_vector(field, red_rows, pivots, vec):
@@ -190,28 +188,16 @@ def reduce_vector(field, red_rows, pivots, vec):
 
 
 def row_space_equal(field, rows_a, rows_b, ncols):
-    if field.is_prime_field:
-        p = field.p
-        ra, pa = _rref_prime(p, rows_a, ncols)
-        rank_b = len(_rref_prime(p, rows_b, ncols, rank_only=True)[1])
-        if len(pa) != rank_b:
-            return False
-        if not pa:
-            return True
-        # equal ranks, so equality reduces to span(b) <= span(a), checked
-        # with one matrix product against the echelon basis of a
-        a = np.array(ra, dtype=np.int64)
-        b = np.array(rows_b, dtype=np.int64) % p
-        return not ((b - b[:, pa] @ a) % p).any()
-    ra, pa = _rref_rational(rows_a, ncols)
-    rb, pb = _rref_rational(rows_b, ncols)
-    return pa == pb and ra == rb
+    return _reduce_rows(field, rows_a, ncols) == _reduce_rows(field, rows_b, ncols)
 
 
-def _reduce_rows(field, rows, ncols):
+def _reduce_rows(field, rows, ncols, rank_only=False):
+    """(echelon rows, pivot columns); the rows are the canonical reduced
+    echelon form unless rank_only, which stops after forward elimination
+    (the pivots are the same either way)."""
     if field.is_prime_field:
-        return _rref_prime(field.p, rows, ncols)
-    return _rref_rational(rows, ncols)
+        return _rref_prime(field.p, rows, ncols, rank_only)
+    return _rref_rational(rows, ncols, rank_only)
 
 
 def row_space_intersection(field, rows_a, rows_b, ncols):

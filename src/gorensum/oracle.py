@@ -11,7 +11,7 @@ import itertools
 
 from . import linalg
 from .betti import BettiTable
-from .ideals import Algebra, NotArtinianError
+from .ideals import Algebra
 from .poly import Poly
 
 
@@ -25,7 +25,8 @@ def hilbert_function(algebra: Algebra):
 
 
 class _QuotientArithmetic:
-    """Graded basis of A = Q/I and the multiplication maps by each variable."""
+    """Hilbert function of A = Q/I and its multiplication maps by each
+    variable, cached per (variable, degree)."""
 
     def __init__(self, algebra, top=None):
         self.algebra = algebra
@@ -38,8 +39,6 @@ class _QuotientArithmetic:
             self.hf = algebra.hilbert_values(top + 1)
             self.artinian = False
         self.top = len(self.hf) - 1
-        # quotient basis per degree: indices of non-pivot monomials
-        self.qmono = [algebra.slices.quotient_monomials(d) for d in range(self.top + 2)]
         self._mult = {}
 
     def dim(self, d):
@@ -53,22 +52,7 @@ class _QuotientArithmetic:
         """Columns of multiplication by x_k from A_d to A_(d+1)."""
         key = (k, d)
         if key not in self._mult:
-            ring, f = self.ring, self.field
-            basis = ring.monomial_basis(d)
-            up_index = ring.monomial_index(d + 1)
-            up_q = self.qmono[d + 1]
-            up_pos = {m: r for r, m in enumerate(up_q)}
-            slices = self.algebra.slices
-            cols = []
-            for mono_idx in self.qmono[d]:
-                e = list(basis[mono_idx])
-                e[k] += 1
-                j = up_index[tuple(e)]
-                vec = [f.zero] * len(up_index)
-                vec[j] = f.one
-                reduced = slices.reduce(d + 1, vec)
-                cols.append([reduced[m] for m in up_q])
-            self._mult[key] = cols
+            self._mult[key] = self.algebra.slices.multiplication(k, d)
         return self._mult[key]
 
 
@@ -206,32 +190,12 @@ def _euler_check(table, hf, n, cap=None):
 
 def socle_basis(algebra: Algebra):
     """Homogeneous representatives of (0 : m_A); the count is the type."""
-    qa = _QuotientArithmetic(algebra)
     ring = algebra.ring
-    f = ring.field
+    slices = algebra.slices
     out = []
-    for d in range(qa.top + 1):
-        a_d = qa.dim(d)
-        if a_d == 0:
-            continue
-        a_up = qa.dim(d + 1)
-        rows = []
-        if a_up:
-            for k in range(ring.nvars):
-                cols = qa.mult_columns(k, d)
-                for r in range(a_up):
-                    rows.append([cols[b][r] for b in range(a_d)])
-        kern = linalg.kernel_rows(f, rows, a_d) if rows else None
-        if kern is None:
-            kern = [
-                [f.one if b == t else f.zero for b in range(a_d)]
-                for t in range(a_d)
-            ]
+    for d in range(len(algebra.hilbert_function())):
         basis = ring.monomial_basis(d)
-        for v in kern:
-            terms = {}
-            for coeff, mono_idx in zip(v, qa.qmono[d]):
-                if coeff:
-                    terms[basis[mono_idx]] = coeff
-            out.append(Poly(ring, terms))
+        qd = slices.quotient_monomials(d)
+        for v in slices.socle(d):
+            out.append(Poly(ring, {basis[m]: c for c, m in zip(v, qd) if c}))
     return out

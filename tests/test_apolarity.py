@@ -1,5 +1,7 @@
 """Contraction, catalecticants, annihilators, dual socle generators."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +17,9 @@ from gorensum.apolarity import (
     hilbert_from_catalecticants,
     socle_and_thom_to_K,
 )
+from gorensum.cli import random_dual_factor
 from gorensum.fields import GF, QQ
+from gorensum.ideals import IdealSlices, minimal_generators
 from gorensum.poly import Poly, Ring, parse_poly
 
 
@@ -167,3 +171,70 @@ class TestCsConditions:
         G = DualGenerator(parse_poly(self.ring, "x^2*y"))
         rep = check_cs_conditions(F, G, self.ring.one())
         assert not rep.holds
+
+
+# --- the echelon-slice readings against the eliminations they replaced ----
+
+
+def minimal_generators_by_insertion(slices, dmax):
+    """Reference: insert x * slice(d-1), then slice(d), into an incremental
+    echelon basis and keep the reduced echelon form of what was new."""
+    ring = slices.ring
+    f = ring.field
+    gens = []
+    for d in range(1, dmax + 1):
+        ncols = len(ring.monomial_basis(d))
+        old = linalg.EchelonBasis(f, ncols)
+        prev_rows, _ = slices.slice(d - 1)
+        if prev_rows:
+            for v in slices._multiply_up(d - 1, prev_rows):
+                old.insert(v)
+        new_rows = []
+        for row in slices.slice(d)[0]:
+            rem = old.insert(row)
+            if rem is not None:
+                new_rows.append(rem)
+        if new_rows:
+            red, _ = linalg._reduce_rows(f, new_rows, ncols)
+            gens.extend(Poly.from_vector(ring, d, v) for v in red)
+    return gens
+
+
+def multiplication_by_reduction(slices, k, d):
+    """Reference: reduce x_k * m against slice(d+1), one unit vector per
+    quotient monomial m of degree d."""
+    ring = slices.ring
+    f = ring.field
+    basis = ring.monomial_basis(d)
+    up_index = ring.monomial_index(d + 1)
+    up_q = slices.quotient_monomials(d + 1)
+    cols = []
+    for m in slices.quotient_monomials(d):
+        e = list(basis[m])
+        e[k] += 1
+        vec = [f.zero] * len(up_index)
+        vec[up_index[tuple(e)]] = f.one
+        reduced = slices.reduce(d + 1, vec)
+        cols.append([reduced[q] for q in up_q])
+    return cols
+
+
+@pytest.mark.parametrize("field", [GF(7), GF(32003), QQ], ids=str)
+@pytest.mark.parametrize("seed", range(3))
+def test_slice_readings_match_reference_eliminations(field, seed):
+    rng = random.Random(seed)
+    F = random_dual_factor(rng, rng.choice([2, 3]), rng.choice([3, 4]), field).dual
+    ring = F.ring
+    ann = annihilator_slices(F)
+    gens = minimal_generators(ann, F.d + 1)
+    assert gens == minimal_generators_by_insertion(ann, F.d + 1)
+    # the same ideal from redundant generators: the multiples must drop out
+    x = ring.var_poly(ring.variables[0])
+    padded = IdealSlices(ring, gens + [x * g for g in gens])
+    assert minimal_generators(padded, F.d + 2) == gens
+    assert minimal_generators_by_insertion(padded, F.d + 2) == gens
+    for d in range(F.d + 1):
+        for k in range(ring.nvars):
+            assert ann.multiplication(k, d) == multiplication_by_reduction(ann, k, d)
+        # the socle of an AG algebra is one-dimensional, in degree F.d
+        assert len(ann.socle(d)) == (d == F.d)

@@ -168,3 +168,29 @@ def test_rendering_deterministic(factor_files, capsys):
     first = capsys.readouterr().out
     main(["connected-sum", a, b, "--method", "oracle"])
     assert capsys.readouterr().out == first
+
+
+def test_non_artinian_ideal_is_a_usage_error(tmp_path, capsys):
+    path = write(tmp_path, "a.json", {
+        "variables": ["x", "y"], "field": "QQ", "ideal": ["x^2"],
+    })
+    assert main(["hilbert", path]) == 2
+    assert "error: " in capsys.readouterr().err
+
+
+def test_zero_denominator_is_a_usage_error(tmp_path, capsys):
+    path = write(tmp_path, "a.json", {
+        "variables": ["x"], "field": {"prime": 7}, "ideal": ["1/7*x^2"],
+    })
+    assert main(["hilbert", path]) == 2
+    assert "divisible by 7" in capsys.readouterr().err
+
+
+def test_degree_cap_bounds_ideal_inputs(tmp_path, capsys):
+    path = write(tmp_path, "a.json", {
+        "variables": ["x"], "field": "QQ", "ideal": ["x^9"],
+    })
+    assert main(["hilbert", path, "--degree-cap", "4"]) == 2
+    assert "not Artinian within degree cap 4" in capsys.readouterr().err
+    assert main(["hilbert", path]) == 0
+    assert capsys.readouterr().out.split() == ["1"] * 9

@@ -3,10 +3,11 @@ route agreement, iterated folding, and the general-base variant."""
 
 import pytest
 
-from gorensum import linalg
+from gorensum import constructions, linalg
 from gorensum.apolarity import DualGenerator, annihilator_slices
 from gorensum.constructions import (
     Factor,
+    RouteDisagreementError,
     connected_sum_K,
     connected_sum_K_iterated,
     connected_sum_T,
@@ -179,3 +180,23 @@ def test_results_match_over_qq_and_gf():
     hq = connected_sum_K(reference_factors(QQ)).hilbert
     hp = connected_sum_K(reference_factors(Fp)).hilbert
     assert hq == hp
+
+
+@pytest.mark.parametrize("field", [Fp, QQ])
+def test_route_check_catches_a_wrong_thom_lift(monkeypatch, field):
+    # sigma_1 + 2 sigma_2 presents Ann(F_1 - F_2 / 2), not Ann(F_1 - F_2):
+    # both routes have dimension 19 in degree 3 but different spans, and the
+    # equality check on the echelon slices must see it
+    factors = [
+        dual_factor(["x", "y"], "x^2*y + y^3", field),
+        dual_factor(["u", "v"], "u^3 + u*v^2", field),
+    ]
+    real = constructions.dual_socle
+    second = factors[1].dual
+
+    def skewed(F):
+        return real(F).scale(2) if F is second else real(F)
+
+    monkeypatch.setattr(constructions, "dual_socle", skewed)
+    with pytest.raises(RouteDisagreementError, match="degree 3: dims 19 vs 19"):
+        connected_sum_K(factors)

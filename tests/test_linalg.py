@@ -1,5 +1,6 @@
 """Exact linear algebra over QQ and GF(p): rref, rank, kernels, spans."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -157,3 +158,55 @@ def test_solve_underdetermined_takes_canonical_solution():
 def test_gf_requires_prime():
     with pytest.raises(ValueError):
         GF(15)
+
+
+def rank_mod_p(rows, p):
+    """Plain Python-int Gaussian elimination: the reference rank over GF(p)."""
+    rows = [[x % p for x in r] for r in rows]
+    rank = 0
+    for c in range(len(rows[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] * inv % p
+            rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def rank_six_product(p, seed):
+    """A 12x12 matrix over GF(p) built as a (12x6)(6x12) product."""
+    rng = random.Random(seed)
+    left = [[rng.randrange(p) for _ in range(6)] for _ in range(12)]
+    right = [[rng.randrange(p) for _ in range(12)] for _ in range(6)]
+    return [
+        [sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)]
+        for row in left
+    ]
+
+
+def test_prime_engine_refuses_shapes_that_could_overflow():
+    # 12 lazy elimination steps over GF(2^31 - 1) can pass 2^63
+    p = 2147483647
+    F = GF(p)
+    for seed in range(5):
+        rows = rank_six_product(p, seed)
+        with pytest.raises(ValueError, match="overflow"):
+            linalg.rank(Matrix.from_rows(F, rows, 12))
+    # a single row never overflows, so small shapes still work
+    assert linalg.rank(mat(F, [[p - 1, 2, 3]])) == 1
+
+
+def test_gf_refuses_primes_too_large_for_int64():
+    with pytest.raises(ValueError, match="too large"):
+        GF(2**61 - 1)
+
+
+def test_prime_engine_rank_matches_reference():
+    for seed in range(5):
+        rows = rank_six_product(32003, seed)
+        assert linalg.rank(Matrix.from_rows(Fp, rows, 12)) == 6
+        assert rank_mod_p(rows, 32003) == 6
