@@ -9,6 +9,8 @@ and therefore works unchanged in any characteristic.
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from . import linalg
 from .ideals import Algebra, IdealSlices, minimal_generators
 from .linalg import Matrix
@@ -60,12 +62,14 @@ def catalecticant(F: DualGenerator, i: int) -> Matrix:
         for b, cb in F.F.terms.items():
             if all(bi >= ai for ai, bi in zip(a, b)):
                 e = tuple(bi - ai for ai, bi in zip(a, b))
-                m.rows[codom_index[e]][c] = cb
+                m.rows[codom_index[e], c] = cb
     return m
 
 
 def annihilator_slices(F: DualGenerator) -> IdealSlices:
-    """Slices of Ann(F) through degree d+1 (kernels of the catalecticants)."""
+    """Slices of Ann(F) through degree d+1: Ann(F)_i is the kernel of the
+    i-th catalecticant, which makes every degree complete in the sense of
+    IdealSlices.from_degree_rows."""
     ring = F.ring
     rows_by_degree = {}
     for i in range(F.d + 1):
@@ -73,13 +77,9 @@ def annihilator_slices(F: DualGenerator) -> IdealSlices:
             ring.field, catalecticant(F, i).rows, len(ring.monomial_basis(i))
         )
     # beyond the socle degree the ideal is everything
-    top = ring.monomial_basis(F.d + 1)
-    eye = []
-    for k in range(len(top)):
-        v = [ring.field.zero] * len(top)
-        v[k] = ring.field.one
-        eye.append(v)
-    rows_by_degree[F.d + 1] = eye
+    rows_by_degree[F.d + 1] = linalg.identity(
+        ring.field, len(ring.monomial_basis(F.d + 1))
+    )
     return IdealSlices.from_degree_rows(ring, rows_by_degree)
 
 
@@ -106,7 +106,7 @@ def dual_socle(F: DualGenerator) -> Poly:
     x = linalg.solve_particular(m, [ring.field.one])
     if x is None:
         raise ValueError("dual generator is degenerate")  # cannot happen: F != 0
-    return Poly.from_vector(ring, F.d, x)
+    return Poly.from_vector(ring, F.d, x.tolist())
 
 
 def socle_and_thom_to_K(A: Algebra, F: DualGenerator) -> Poly:
@@ -182,10 +182,12 @@ def check_cs_conditions(F: DualGenerator, G: DualGenerator, tau: Poly) -> CsRepo
     ann_g = annihilator_slices(G)
     fld = F.ring.field
     for d in range(k + 2):
+        # slice(d) of Ann(tau o F) is already canonical; reduce only the sum
         ncols = len(F.ring.monomial_basis(d))
-        lhs = ann_t.slice(d)[0] if d <= k + 1 else []
-        rhs = list(ann_f.slice(d)[0]) + list(ann_g.slice(d)[0])
-        if not linalg.row_space_equal(fld, lhs, rhs, ncols):
+        rhs = np.concatenate([ann_f.slice(d)[0], ann_g.slice(d)[0]])
+        if not linalg.echelon_equal(
+            ann_t.slice(d), linalg._reduce_rows(fld, rhs, ncols)
+        ):
             return CsReport(
                 condition_a=True,
                 condition_b=False,

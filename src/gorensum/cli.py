@@ -337,12 +337,11 @@ def build_parser():
                         default="oracle")
     sp = sub.add_parser("doubling-check", help="doubling certificate for J inside I")
     common(sp, 2)
+    # its instances are annihilators, always Artinian: no files, no degree cap
     sp = sub.add_parser("verify", help="randomized formula-vs-oracle suite")
-    sp.add_argument("files", nargs="*")
     sp.add_argument("--field", help='coefficient field override')
     sp.add_argument("--output", choices=["text", "machine"], default="text")
     sp.add_argument("--max-dim", type=int, default=2000)
-    sp.add_argument("--degree-cap", type=int, default=64)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--count", type=int, default=25)
     return p

@@ -133,7 +133,7 @@ def connected_sum_K(factors) -> ConstructionResult:
     # both slices are canonical reduced echelon forms, so equal ideals give
     # equal (rows, pivots)
     for deg in range(d + 2):
-        if pres.slices.slice(deg) != dual_slices.slice(deg):
+        if not linalg.echelon_equal(pres.slices.slice(deg), dual_slices.slice(deg)):
             raise RouteDisagreementError(
                 "presentation and dual routes disagree in degree "
                 f"{deg}: dims {pres.slices.dim(deg)} vs "

@@ -32,9 +32,10 @@ def cm1_check(algebra):
     """Is Q/J Cohen-Macaulay of dimension one?
 
     Dimension 1 is detected as the Hilbert function becoming a nonzero
-    constant (stabilization triggers shared with the Artinian probe); depth
-    >= 1 is the absence of elements killed by every variable in degrees up
-    to reg+1.  The h-vector h satisfies HF series = h(s)/(1-s).
+    constant, and dimension >= 2 as a Hilbert polynomial of positive degree
+    (stabilization triggers shared with the Artinian probe); depth >= 1 is
+    the absence of elements killed by every variable in degrees up to reg+1.
+    The h-vector h satisfies HF series = h(s)/(1-s).
     """
     cap = algebra.degree_cap
     gen_top = max((g.degree() for g in algebra.generators), default=0)
@@ -51,6 +52,13 @@ def cm1_check(algebra):
         return Cm1Result(
             ok=False, reason=f"dimension != 1 within degree cap {cap}"
         )
+    stab, e = stab
+    if e:
+        return Cm1Result(
+            ok=False,
+            reason=f"dimension >= 2: Hilbert polynomial of degree {e} from "
+            f"degree {stab} on",
+        )
 
     h = [hf[0]] + [hf[d] - hf[d - 1] for d in range(1, stab + 1)]
     while len(h) > 1 and h[-1] == 0:
@@ -58,7 +66,7 @@ def cm1_check(algebra):
     reg = len(h) - 1
 
     for d in range(reg + 2):
-        if algebra.slices.socle(d):
+        if len(algebra.slices.socle(d)):
             return Cm1Result(
                 ok=False,
                 h_vector=tuple(h),
@@ -131,8 +139,7 @@ def doubling_certificate(J: Algebra, I: Algebra) -> DoublingCertificate:
     dmax = (t if t is not None else (cm1.reg if cm1.ok else 0)) + 1
     contained = True
     for d in range(dmax + 1):
-        rows = J.slices.slice(d)[0]
-        if any(any(I.slices.reduce(d, r)) for r in rows):
+        if I.slices.reduce(d, J.slices.slice(d)[0]).any():
             contained = False
             reasons["containment"] = f"J is not contained in I in degree {d}"
             break

@@ -2,13 +2,18 @@
 
 Every ideal in scope cuts out an Artinian or 1-dimensional quotient, so a
 finite list of graded slices suffices; no Groebner machinery is needed.
-Slice d is stored as a reduced row echelon basis over the degree-d monomial
-basis, which makes generator extraction and all downstream comparisons
-canonical.
+Slice d is the canonical reduced row echelon form (rows, pivots) of I_d over
+the degree-d monomial basis, rows being a 2-D numpy array as in `linalg`
+(int64 over GF(p), Fraction objects over QQ); this makes generator
+extraction and all downstream comparisons canonical.
 """
 
+from math import comb
+
+import numpy as np
+
 from . import linalg
-from .poly import Poly
+from .poly import Poly, shift_table
 
 
 class NotArtinianError(Exception):
@@ -32,61 +37,60 @@ class IdealSlices:
             self._gens_by_degree.setdefault(g.degree(), []).append(g)
         # per degree: (echelon rows, pivot columns)
         self._slices = []
-        self._extra_rows = {}  # raw slice rows injected directly (kernel route)
+        self._extra_rows = {}  # complete degrees given as rows (from_degree_rows)
 
     @classmethod
     def from_degree_rows(cls, ring, rows_by_degree):
-        """Build slices from raw per-degree row lists instead of generators.
+        """Build slices from raw per-degree rows instead of generators.
 
-        Used for annihilator ideals, whose slices come from catalecticant
-        kernels; generators are recovered afterwards via minimal_generators.
+        Each given degree must be complete: its rows span all of I_d, as the
+        catalecticant kernels ker(cat_d) = Ann(F)_d of an annihilator or
+        the intersections Ann(F)_d & Ann(G)_d of two do.  Slice d is then the
+        reduced echelon form of those rows alone, with no multiply-up from
+        degree d-1; degrees past the last given one are multiplied up.
+        Generators are recovered afterwards via minimal_generators.
         """
         obj = cls(ring, [])
-        obj._extra_rows = {d: rows for d, rows in rows_by_degree.items()}
+        obj._extra_rows = dict(rows_by_degree)
         return obj
 
     def ensure(self, dmax):
-        ring = self.ring
-        f = ring.field
+        f = self.ring.field
         while len(self._slices) <= dmax:
             d = len(self._slices)
-            rows = []
-            if d > 0 and self._slices[d - 1][0]:
-                rows.extend(self._multiply_up(d - 1, self._slices[d - 1][0]))
-            for g in self._gens_by_degree.get(d, []):
-                rows.append(g.coefficient_vector(d))
-            for raw in self._extra_rows.get(d, []):
-                rows.append(list(raw))
-            ncols = len(ring.monomial_basis(d))
-            red, piv = linalg._reduce_rows(f, rows, ncols)
-            self._slices.append((red, piv))
+            ncols = len(self.ring.monomial_basis(d))
+            # the blocks _rows stacks are freed before the elimination runs
+            self._slices.append(linalg._reduce_rows(f, self._rows(d, ncols), ncols))
+
+    def _rows(self, d, ncols):
+        """Rows spanning I_d: the given rows of a complete degree, else the
+        variables times slice(d-1) stacked on the degree-d generators."""
+        if d in self._extra_rows:
+            return self._extra_rows[d]
+        f = self.ring.field
+        blocks = []
+        if d > 0 and len(self._slices[d - 1][0]):
+            blocks.append(self._multiply_up(d - 1, self._slices[d - 1][0]))
+        gens = self._gens_by_degree.get(d)
+        if gens:
+            blocks.append(linalg.to_array(
+                f, [g.coefficient_vector(d) for g in gens], ncols
+            ))
+        if len(blocks) > 1:
+            return np.concatenate(blocks)
+        return blocks[0] if blocks else linalg.zeros(f, (0, ncols))
 
     def _multiply_up(self, d, rows):
-        """Vectors of x_k * (degree-d rows) inside degree d+1."""
+        """Vectors of x_k * (degree-d rows) inside degree d+1, one per row
+        and variable (row-major), as one array."""
         ring = self.ring
-        f = ring.field
-        basis = ring.monomial_basis(d)
-        up_index = ring.monomial_index(d + 1)
         n = ring.nvars
-        shift = []
-        for e in basis:
-            targets = []
-            for k in range(n):
-                e2 = list(e)
-                e2[k] += 1
-                targets.append(up_index[tuple(e2)])
-            shift.append(targets)
-        ncols_up = len(up_index)
-        out = []
-        for row in rows:
-            for k in range(n):
-                v = [f.zero] * ncols_up
-                for i, c in enumerate(row):
-                    if c:
-                        j = shift[i][k]
-                        v[j] = f.add(v[j], c)
-                out.append(v)
-        return out
+        ncols_up = len(ring.monomial_basis(d + 1))
+        # flat targets in the (n, ncols_up) block of one row's products
+        targets = shift_table(n, d) + (np.arange(n) * ncols_up)[:, None]
+        out = linalg.zeros(ring.field, (len(rows), n * ncols_up))
+        out[:, targets] = rows[:, None, :]
+        return out.reshape(len(rows) * n, ncols_up)
 
     def slice(self, d):
         self.ensure(d)
@@ -105,13 +109,14 @@ class IdealSlices:
         return [i for i in range(len(self.ring.monomial_basis(d))) if i not in pivset]
 
     def reduce(self, d, vec):
+        """Normal form of vec (or of each row of a 2-D vec) modulo I_d."""
         red, piv = self.slice(d)
         return linalg.reduce_vector(self.ring.field, red, piv, vec)
 
     def multiplication(self, k, d):
         """Multiplication by x_k from (Q/I)_d to (Q/I)_(d+1), over the
-        quotient monomial bases: one column per quotient monomial m of
-        degree d.
+        quotient monomial bases: row i is the image of the i-th quotient
+        monomial m of degree d.
 
         The normal form of x_k*m is read off the echelon slice: minus the
         row pivoted at x_k*m (whose other entries all sit on quotient
@@ -119,31 +124,17 @@ class IdealSlices:
         """
         f = self.ring.field
         rows, piv = self.slice(d + 1)
-        row_at = dict(zip(piv, rows))
         up_q = self.quotient_monomials(d + 1)
-        up_pos = {m: r for r, m in enumerate(up_q)}
-        basis = self.ring.monomial_basis(d)
-        up_index = self.ring.monomial_index(d + 1)
-        cols = []
-        for m in self.quotient_monomials(d):
-            e = list(basis[m])
-            e[k] += 1
-            j = up_index[tuple(e)]
-            if j in row_at:
-                row = row_at[j]
-                cols.append([f.neg(row[q]) for q in up_q])
-            else:
-                col = [f.zero] * len(up_q)
-                col[up_pos[j]] = f.one
-                cols.append(col)
-        return cols
+        normal = linalg.zeros(f, (len(self.ring.monomial_basis(d + 1)), len(up_q)))
+        normal[piv] = linalg.neg(f, rows[:, up_q])
+        normal[up_q, np.arange(len(up_q))] = f.one
+        return normal[shift_table(self.ring.nvars, d)[k, self.quotient_monomials(d)]]
 
     def socle(self, d):
         """Basis of the degree-d elements of Q/I killed by every variable,
-        as rows over the quotient monomials of degree d."""
-        rows = []
-        for k in range(self.ring.nvars):
-            rows.extend(list(r) for r in zip(*self.multiplication(k, d)))
+        as the rows of an array over the quotient monomials of degree d."""
+        maps = [self.multiplication(k, d).T for k in range(self.ring.nvars)]
+        rows = np.concatenate(maps) if maps else []  # no variables: all of A_d
         return linalg.kernel_rows(self.ring.field, rows, self.codim(d))
 
     def contains(self, poly):
@@ -152,7 +143,7 @@ class IdealSlices:
         if not poly.is_homogeneous():
             raise ValueError("membership test requires a homogeneous polynomial")
         d = poly.degree()
-        return not any(self.reduce(d, poly.coefficient_vector(d)))
+        return not self.reduce(d, poly.coefficient_vector(d)).any()
 
 
 def ideal_slices(ring, generators, dmax):
@@ -179,7 +170,7 @@ def minimal_generators(slices, dmax):
     for d in range(1, dmax + 1):
         prev_rows, _ = slices.slice(d - 1)
         up_pivots = set()
-        if prev_rows:
+        if len(prev_rows):
             up = slices._multiply_up(d - 1, prev_rows)
             ncols = len(ring.monomial_basis(d))
             _, piv = linalg._reduce_rows(ring.field, up, ncols, rank_only=True)
@@ -187,34 +178,57 @@ def minimal_generators(slices, dmax):
         rows, piv = slices.slice(d)
         gens.extend(
             Poly.from_vector(ring, d, row)
-            for row, c in zip(rows, piv)
+            for row, c in zip(rows.tolist(), piv)
             if c not in up_pivots
         )
     return gens
 
 
-def _stabilized(dims, gen_top, nvars):
-    """First degree from which the codimension sequence is provably (or
-    confidently) constant, else None.
+def _macaulay_bound(h, d):
+    """(h^<d>, e) for h >= 1, d >= 1: the largest value Macaulay's theorem
+    allows at degree d+1 after the value h at degree d, and e = k - d for the
+    leading binomial C(k, d) of the d-th Macaulay representation of h."""
+    bound, e = 0, None
+    for i in range(d, 0, -1):
+        if not h:
+            break
+        k = i
+        while comb(k + 1, i) <= h:
+            k += 1
+        if e is None:
+            e = k - d
+        h -= comb(k, i)
+        bound += comb(k + 1, i + 1)
+    return bound, e
 
-    Two triggers, whichever fires first.  Persistence: two equal values
-    c <= d-1 at degrees d-1, d with no generators past d-1 force the value c
-    forever (minimal Macaulay growth of a constant c <= d persists).
-    Plateau: nvars+2 equal values ending past the generator degrees; this is
-    a heuristic cutoff for quotients whose constant value is large, kept
-    because scanning up to degree c is prohibitively wide in many variables.
+
+def _stabilized(dims, gen_top, nvars):
+    """(d, e) once the codimension sequence provably (or confidently) follows
+    a Hilbert polynomial of degree e from degree d on, else None.
+
+    Two triggers, whichever fires first.  Gotzmann persistence: with no
+    generators past d >= 1, h_(d+1) = h_d^<d> (the largest growth Macaulay
+    allows) forces h_(t+1) = h_t^<t> for every t >= d, so the Hilbert
+    polynomial is determined, of degree e = k - d for the leading binomial
+    C(k, d) of h_d; a constant c <= d is the case e = 0.
+    Plateau: nvars+2 equal values ending past the generator degrees (e = 0);
+    this is a heuristic cutoff for quotients whose constant value is large,
+    kept because scanning up to degree c is prohibitively wide in many
+    variables.
     """
-    d = len(dims) - 1
-    c = dims[-1]
-    if d >= 1 and dims[d - 1] == c and d - 1 >= gen_top and c <= d - 1:
-        return d - 1
+    d = len(dims) - 2
+    if d >= max(gen_top, 1) and dims[d]:
+        bound, e = _macaulay_bound(dims[d], d)
+        if dims[d + 1] == bound:
+            return d, e
     window = nvars + 1
+    top = len(dims) - 1
     if (
-        d >= gen_top
+        top >= gen_top
         and len(dims) > window
         and len(set(dims[-(window + 1):])) == 1
     ):
-        return d - window
+        return top - window, 0
     return None
 
 
@@ -244,8 +258,8 @@ class Algebra:
         """Hilbert function through the socle degree (Artinian inputs only).
 
         A non-Artinian input is detected early by either trigger of
-        _stabilized (persistence of minimal growth, or a long plateau past
-        the generator degrees), else by hitting the degree cap.
+        _stabilized (Gotzmann persistence, or a long plateau past the
+        generator degrees), else by hitting the degree cap.
         """
         if self._hf is None:
             gen_top = max((g.degree() for g in self.slices.generators), default=0)
@@ -259,9 +273,12 @@ class Algebra:
                     break
                 stab = _stabilized(dims, gen_top, self.ring.nvars)
                 if stab is not None:
+                    start, e = stab
                     raise NotArtinianError(
                         f"Hilbert function is constant ({c}) from degree "
-                        f"{stab} on; not Artinian"
+                        f"{start} on; not Artinian" if e == 0 else
+                        f"Hilbert polynomial has degree {e} from degree "
+                        f"{start} on; not Artinian"
                     )
             else:
                 raise NotArtinianError(

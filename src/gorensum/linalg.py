@@ -1,19 +1,27 @@
 """Exact dense linear algebra: reduced row echelon form, rank, kernels.
 
+Matrices and echelon forms are 2-D numpy arrays: int64 with entries in
+0..p-1 over GF(p), and `object` arrays of `Fraction` over QQ.  An echelon
+form is the pair (rows, pivot columns), with rows a (rank, ncols) array and
+pivots a list of ints; functions here accept an array or a list of rows.
 Two engines sit behind one interface: a vectorized numpy engine for prime
 fields and a Fraction engine for the rationals.  The prime engine reduces
 lazily in int64: with k = min(rows, cols) pivots no entry exceeds
 k*(p-1)^2 + p, so it refuses (ValueError) any shape and prime for which that
-bound reaches 2^63 instead of returning a wrong answer.  Everything is
-deterministic: pivots are always the first nonzero entry scanning left to
-right, top to bottom, so identical inputs give bit-identical echelon forms.
+bound reaches 2^63 instead of returning a wrong answer; every other int64
+product here is bounded the same way.  Everything is deterministic: pivots
+are always the first nonzero entry scanning left to right, top to bottom, so
+identical inputs give bit-identical echelon forms.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
 
 class Matrix:
-    """Dense matrix over an exact field, stored as a list of rows."""
+    """A 2-D array over an exact field, with its shape: the argument of rref
+    and rank."""
 
     __slots__ = ("field", "nrows", "ncols", "rows")
 
@@ -21,62 +29,60 @@ class Matrix:
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
-        if rows is None:
-            z = field.zero
-            rows = [[z] * ncols for _ in range(nrows)]
-        self.rows = rows
-
-    @classmethod
-    def from_rows(cls, field, rows, ncols):
-        return cls(field, len(rows), ncols, [list(r) for r in rows])
-
-    @classmethod
-    def identity(cls, field, n):
-        m = cls(field, n, n)
-        for i in range(n):
-            m.rows[i][i] = field.one
-        return m
-
-    def transpose(self):
-        t = [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        return Matrix(self.field, self.ncols, self.nrows, t)
-
-    def mul_vector(self, v):
-        f = self.field
-        out = []
-        for row in self.rows:
-            acc = f.zero
-            for a, b in zip(row, v):
-                if a and b:
-                    acc = f.add(acc, f.mul(a, b))
-            out.append(acc)
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.field == other.field
-            and self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
+        self.rows = zeros(field, (nrows, ncols)) if rows is None else rows
 
     def __repr__(self):
         return f"Matrix({self.field}, {self.nrows}x{self.ncols})"
+
+
+def zeros(field, shape):
+    if field.is_prime_field:
+        return np.zeros(shape, dtype=np.int64)
+    return np.full(shape, Fraction(0), dtype=object)
+
+
+def identity(field, n):
+    out = zeros(field, (n, n))
+    out[np.arange(n), np.arange(n)] = field.one
+    return out
+
+
+def to_array(field, rows, ncols):
+    """A list of rows as the field's 2-D array type."""
+    dtype = np.int64 if field.is_prime_field else object
+    return np.array(rows, dtype=dtype).reshape(len(rows), ncols)
+
+
+def neg(field, a):
+    return -a % field.p if field.is_prime_field else -a
+
+
+def matmul(field, a, b):
+    """a @ b over the field; over GF(p) it refuses (ValueError) an inner
+    dimension at which the int64 sum could overflow."""
+    if not field.is_prime_field:
+        return a @ b
+    p = field.p
+    if a.shape[-1] * (p - 1) ** 2 + p >= 2**63:
+        raise ValueError(
+            f"GF({p}): a product over {a.shape[-1]} terms could overflow int64"
+        )
+    return a @ b % p
 
 
 def _rref_prime(p, rows, ncols, rank_only=False):
     # Lazy modular reduction: the pivot row is normalized mod p, so one
     # elimination step grows an entry by at most (p-1)^2, and there are at
     # most min(rows, cols) steps; columns are reduced only when read.
-    if not rows or ncols == 0:
-        return [], []
-    if min(len(rows), ncols) * (p - 1) ** 2 + p >= 2**63:
+    nrows = len(rows)
+    if not nrows or ncols == 0:
+        return np.zeros((0, ncols), dtype=np.int64), []
+    if min(nrows, ncols) * (p - 1) ** 2 + p >= 2**63:
         raise ValueError(
-            f"GF({p}): a {len(rows)}x{ncols} elimination could overflow int64"
+            f"GF({p}): a {nrows}x{ncols} elimination could overflow int64"
         )
-    m = np.array(rows, dtype=np.int64) % p
-    nrows = m.shape[0]
+    m = np.array(rows, dtype=np.int64)
+    m %= p
     pivots = []
     r = 0
     for c in range(ncols):
@@ -102,8 +108,7 @@ def _rref_prime(p, rows, ncols, rank_only=False):
             m[touched] -= np.outer(col[touched], m[r])
         pivots.append(c)
         r += 1
-    reduced = [[int(x) for x in row] for row in m[:r] % p]
-    return reduced, pivots
+    return m[:r] % p, pivots
 
 
 def _rref_rational(rows, ncols, rank_only=False):
@@ -135,7 +140,10 @@ def _rref_rational(rows, ncols, rank_only=False):
                 work[i] = [a - f * b for a, b in zip(work[i], prow)]
         pivots.append(c)
         r += 1
-    return work[:r], pivots
+    out = np.empty((r, ncols), dtype=object)
+    if r:
+        out[:] = work[:r]
+    return out, pivots
 
 
 def rref(matrix):
@@ -152,43 +160,46 @@ def rank(matrix):
 def kernel_basis(matrix):
     """Matrix whose columns are the canonical basis of ker(matrix)."""
     ker = kernel_rows(matrix.field, matrix.rows, matrix.ncols)
-    rows = _transpose_rows(ker, matrix.ncols)
-    return Matrix(matrix.field, matrix.ncols, len(ker), rows)
+    return Matrix(matrix.field, matrix.ncols, len(ker), ker.T)
 
 
 def kernel_rows(field, rows, ncols):
-    """Canonical basis of the kernel of the matrix given as a row list.
+    """Canonical basis of the kernel of the matrix given by its rows.
 
     The basis comes from the reduced echelon form: one vector per free
     column, with a 1 in the free position, so there are ncols - rank of them
-    (rank-nullity).  Kernel vectors are returned as rows.
+    (rank-nullity).  Kernel vectors are returned as the rows of an array.
     """
     red, piv = _reduce_rows(field, rows, ncols)
-    pivset = set(piv)
-    out = []
-    for c in range(ncols):
-        if c in pivset:
-            continue
-        v = [field.zero] * ncols
-        v[c] = field.one
-        for row, pc in zip(red, piv):
-            v[pc] = field.neg(row[c])
-        out.append(v)
+    free = np.ones(ncols, dtype=bool)
+    free[piv] = False
+    free = np.flatnonzero(free)
+    out = zeros(field, (len(free), ncols))
+    out[np.arange(len(free)), free] = field.one
+    out[:, piv] = neg(field, red[:, free].T)
     return out
 
 
 def reduce_vector(field, red_rows, pivots, vec):
-    """Reduce vec against echelon rows (pivot entries normalized to 1)."""
-    v = list(vec)
-    for row, c in zip(red_rows, pivots):
-        coef = v[c]
-        if coef:
-            v = [field.sub(a, field.mul(coef, b)) for a, b in zip(v, row)]
+    """Remainder of vec (or of each row of a 2-D vec) modulo the row space of
+    a reduced echelon form: v - v[pivots] . red_rows."""
+    v = np.array(vec, dtype=red_rows.dtype)
+    if pivots:
+        v = v - matmul(field, v[..., pivots], red_rows)
+        if field.is_prime_field:
+            v %= field.p
     return v
 
 
+def echelon_equal(a, b):
+    """Equality of two canonical echelon forms (rows, pivots)."""
+    return a[1] == b[1] and np.array_equal(a[0], b[0])
+
+
 def row_space_equal(field, rows_a, rows_b, ncols):
-    return _reduce_rows(field, rows_a, ncols) == _reduce_rows(field, rows_b, ncols)
+    return echelon_equal(
+        _reduce_rows(field, rows_a, ncols), _reduce_rows(field, rows_b, ncols)
+    )
 
 
 def _reduce_rows(field, rows, ncols, rank_only=False):
@@ -201,27 +212,17 @@ def _reduce_rows(field, rows, ncols, rank_only=False):
 
 
 def row_space_intersection(field, rows_a, rows_b, ncols):
-    """Echelon basis of the intersection of two row spaces."""
+    """Reduced echelon basis of the intersection of two row spaces."""
     ra, _ = _reduce_rows(field, rows_a, ncols)
     rb, _ = _reduce_rows(field, rows_b, ncols)
-    if not ra or not rb:
-        return []
+    if not len(ra) or not len(rb):
+        return zeros(field, (0, ncols))
     # alpha * ra = beta * rb  <=>  (alpha, -beta) in ker of the stacked map
-    stacked = [list(r) for r in ra] + [[field.neg(x) for x in r] for r in rb]
-    coeffs = kernel_rows(field, _transpose_rows(stacked, ncols), len(stacked))
-    inter = []
-    for cv in coeffs:
-        v = [field.zero] * ncols
-        for a, row in zip(cv[: len(ra)], ra):
-            if a:
-                v = [field.add(x, field.mul(a, y)) for x, y in zip(v, row)]
-        inter.append(v)
+    stacked = np.concatenate([ra, neg(field, rb)])
+    coeffs = kernel_rows(field, stacked.T, len(stacked))
+    inter = matmul(field, coeffs[:, : len(ra)], ra)
     red, _ = _reduce_rows(field, inter, ncols)
     return red
-
-
-def _transpose_rows(rows, ncols):
-    return [[row[j] for row in rows] for j in range(ncols)]
 
 
 class EchelonBasis:
@@ -272,11 +273,11 @@ class EchelonBasis:
 def solve_particular(matrix, rhs):
     """Canonical solution of matrix*x = rhs (free variables zero), or None."""
     f = matrix.field
-    aug_rows = [row + [b] for row, b in zip(matrix.rows, rhs)]
-    red, piv = _reduce_rows(f, aug_rows, matrix.ncols + 1)
-    if matrix.ncols in piv:
+    n = matrix.ncols
+    aug = np.concatenate([matrix.rows, to_array(f, [[b] for b in rhs], 1)], axis=1)
+    red, piv = _reduce_rows(f, aug, n + 1)
+    if n in piv:
         return None
-    x = [f.zero] * matrix.ncols
-    for k, c in enumerate(piv):
-        x[c] = red[k][matrix.ncols]
+    x = zeros(f, n)
+    x[piv] = red[:, n]
     return x

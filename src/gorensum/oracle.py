@@ -49,7 +49,8 @@ class _QuotientArithmetic:
         return 0
 
     def mult_columns(self, k, d):
-        """Columns of multiplication by x_k from A_d to A_(d+1)."""
+        """Multiplication by x_k from A_d to A_(d+1), one row per basis
+        element of A_d (IdealSlices.multiplication)."""
         key = (k, d)
         if key not in self._mult:
             self._mult[key] = self.algebra.slices.multiplication(k, d)
@@ -71,21 +72,17 @@ def _koszul_differential(qa, i, j):
     cod_a = qa.dim(j - i + 1)
     nrows = len(cod_sets) * cod_a
     ncols = len(dom_sets) * dom_a
-    rows = [[f.zero] * ncols for _ in range(nrows)]
+    rows = linalg.zeros(f, (nrows, ncols))
     if nrows == 0 or ncols == 0:
         return rows, nrows, ncols
     for sp, s in enumerate(dom_sets):
         for pos, k in enumerate(s):
-            target = s[:pos] + s[pos + 1 :]
-            block = cod_pos[target] * cod_a
-            cols = qa.mult_columns(k, j - i)
-            negate = pos % 2 == 1
-            for b in range(dom_a):
-                col = sp * dom_a + b
-                for r, val in enumerate(cols[b]):
-                    if val:
-                        v = f.neg(val) if negate else val
-                        rows[block + r][col] = f.add(rows[block + r][col], v)
+            # each (source subset, target subset) pair is one block
+            block = cod_pos[s[:pos] + s[pos + 1 :]] * cod_a
+            m = qa.mult_columns(k, j - i).T
+            rows[block : block + cod_a, sp * dom_a : (sp + 1) * dom_a] = (
+                linalg.neg(f, m) if pos % 2 else m
+            )
     return rows, nrows, ncols
 
 
@@ -158,11 +155,7 @@ def _assert_d_squared_zero(qa, i, j):
     rows1, nr1, nc1 = _koszul_differential(qa, i - 1, j)
     if nr2 == 0 or nc2 == 0 or nr1 == 0:
         return
-    f = qa.field
-    for c in range(nc2):
-        mid = [rows2[r][c] for r in range(nr2)]
-        out = linalg.Matrix(f, nr1, nc1, rows1).mul_vector(mid)
-        assert not any(out), f"d^2 != 0 at ({i},{j})"
+    assert not linalg.matmul(qa.field, rows1, rows2).any(), f"d^2 != 0 at ({i},{j})"
 
 
 def _euler_check(table, hf, n, cap=None):
@@ -196,6 +189,6 @@ def socle_basis(algebra: Algebra):
     for d in range(len(algebra.hilbert_function())):
         basis = ring.monomial_basis(d)
         qd = slices.quotient_monomials(d)
-        for v in slices.socle(d):
+        for v in slices.socle(d).tolist():
             out.append(Poly(ring, {basis[m]: c for c, m in zip(v, qd) if c}))
     return out

@@ -10,6 +10,8 @@ import itertools
 import re
 from functools import lru_cache
 
+import numpy as np
+
 from .fields import Field
 
 
@@ -103,6 +105,22 @@ def _grevlex_basis(n, d):
         exps.append(tuple(e))
     exps.sort(key=lambda e: tuple(reversed(e)))
     return tuple(exps)
+
+
+
+@lru_cache(maxsize=None)
+def shift_table(n, d):
+    """Multiplication by each variable on the degree-d monomials of n
+    variables: entry [k, i] is the index in the degree-(d+1) basis of x_k
+    times the i-th degree-d monomial.  Read-only; shared by every ring."""
+    basis = _grevlex_basis(n, d)
+    up = {e: j for j, e in enumerate(_grevlex_basis(n, d + 1))}
+    table = np.array(
+        [[up[e[:k] + (e[k] + 1,) + e[k + 1:]] for e in basis] for k in range(n)],
+        dtype=np.intp,
+    ).reshape(n, len(basis))
+    table.flags.writeable = False
+    return table
 
 
 class Poly:

@@ -186,17 +186,17 @@ def minimal_generators_by_insertion(slices, dmax):
         ncols = len(ring.monomial_basis(d))
         old = linalg.EchelonBasis(f, ncols)
         prev_rows, _ = slices.slice(d - 1)
-        if prev_rows:
-            for v in slices._multiply_up(d - 1, prev_rows):
+        if len(prev_rows):
+            for v in slices._multiply_up(d - 1, prev_rows).tolist():
                 old.insert(v)
         new_rows = []
-        for row in slices.slice(d)[0]:
+        for row in slices.slice(d)[0].tolist():
             rem = old.insert(row)
             if rem is not None:
                 new_rows.append(rem)
         if new_rows:
             red, _ = linalg._reduce_rows(f, new_rows, ncols)
-            gens.extend(Poly.from_vector(ring, d, v) for v in red)
+            gens.extend(Poly.from_vector(ring, d, v) for v in red.tolist())
     return gens
 
 
@@ -214,7 +214,7 @@ def multiplication_by_reduction(slices, k, d):
         e[k] += 1
         vec = [f.zero] * len(up_index)
         vec[up_index[tuple(e)]] = f.one
-        reduced = slices.reduce(d + 1, vec)
+        reduced = slices.reduce(d + 1, vec).tolist()
         cols.append([reduced[q] for q in up_q])
     return cols
 
@@ -235,6 +235,48 @@ def test_slice_readings_match_reference_eliminations(field, seed):
     assert minimal_generators_by_insertion(padded, F.d + 2) == gens
     for d in range(F.d + 1):
         for k in range(ring.nvars):
-            assert ann.multiplication(k, d) == multiplication_by_reduction(ann, k, d)
+            assert ann.multiplication(k, d).tolist() == multiplication_by_reduction(ann, k, d)
         # the socle of an AG algebra is one-dimensional, in degree F.d
         assert len(ann.socle(d)) == (d == F.d)
+
+
+def multiply_up_build(F):
+    """Reference: the slices of Ann(F) with the variables times slice(d-1)
+    stacked on the catalecticant kernel in every degree, each product formed
+    as a polynomial."""
+    ring = F.ring
+    f = ring.field
+    variables = [ring.var_poly(v) for v in ring.variables]
+    built = {}
+    prev = []
+    for d in range(F.d + 2):
+        ncols = len(ring.monomial_basis(d))
+        if d <= F.d:
+            raw = linalg.kernel_rows(f, catalecticant(F, d).rows, ncols).tolist()
+        else:
+            raw = linalg.identity(f, ncols).tolist()
+        up = [
+            (x * Poly.from_vector(ring, d - 1, row)).coefficient_vector(d)
+            for row in prev
+            for x in variables
+        ]
+        built[d] = linalg.to_array(f, up + raw, ncols)
+        prev = linalg._reduce_rows(f, built[d], ncols)[0].tolist()
+    return IdealSlices.from_degree_rows(ring, built)
+
+
+@pytest.mark.parametrize("field", [GF(7), GF(32003), QQ], ids=str)
+@pytest.mark.parametrize("seed", range(3))
+def test_annihilator_slices_are_complete(field, seed):
+    # each catalecticant kernel already holds the multiples of the degree
+    # below, so the slices skip the multiply-up without losing anything
+    rng = random.Random(100 + seed)
+    F = random_dual_factor(rng, rng.choice([2, 3]), rng.choice([3, 4]), field).dual
+    ann = annihilator_slices(F)
+    for d in range(1, F.d + 2):
+        up = ann._multiply_up(d - 1, ann.slice(d - 1)[0])
+        assert not ann.reduce(d, up).any()
+    ref = multiply_up_build(F)
+    for d in range(F.d + 2):
+        assert linalg.echelon_equal(ann.slice(d), ref.slice(d))
+    assert annihilator(F).generators == minimal_generators(ref, F.d + 1)

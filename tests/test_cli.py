@@ -156,6 +156,14 @@ def test_verify_seeded_reproducible(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_verify_takes_no_files_or_degree_cap(capsys):
+    # verify draws its own instances: annihilators, always Artinian
+    for argv in (["verify", "x.json"], ["verify", "--degree-cap", "1"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+
+
 def test_differential_suite_deterministic():
     assert differential_suite(seed=11, count=2) == differential_suite(
         seed=11, count=2

@@ -12,7 +12,7 @@ from gorensum.doubling import (
     theorem43_harness,
 )
 from gorensum.fields import GF, QQ
-from gorensum.ideals import Algebra
+from gorensum.ideals import Algebra, NotArtinianError
 from gorensum.poly import Ring, parse_poly
 
 Fp = GF(32003)
@@ -48,6 +48,21 @@ class TestCm1:
     def test_dimension_two_rejected(self):
         r = cm1_check(algebra(["x", "y"], []))
         assert not r.ok
+
+    @pytest.mark.parametrize("field", [Fp, QQ], ids=str)
+    def test_dimension_two_is_proved_without_scanning(self, field):
+        # h = 1, 3, 6, 9, 12: 9 = C(4,3) + C(3,2) + C(2,1) allows at most
+        # C(5,4) + C(4,3) + C(3,2) = 12 in degree 4, and reaching it past the
+        # generator degree pins a Hilbert polynomial of degree 1 (Gotzmann)
+        A = algebra(["x", "y", "z"], ["x*y*z"], field)
+        r = cm1_check(A)
+        assert not r.ok
+        assert r.reason.startswith("dimension >= 2")
+        B = algebra(["x", "y", "z"], ["x*y*z"], field)
+        with pytest.raises(NotArtinianError, match="polynomial has degree 1"):
+            B.hilbert_function()
+        # slices through degree 4 only, not up to the degree cap
+        assert len(A.slices._slices) == len(B.slices._slices) == 5
 
 
 def test_canonical_hilbert_expansions():

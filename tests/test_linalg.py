@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from gorensum import linalg
 from gorensum.fields import GF, QQ
+from gorensum.ideals import IdealSlices
 from gorensum.linalg import EchelonBasis, Matrix
+from gorensum.poly import Poly, Ring
 
 F7 = GF(7)
 Fp = GF(32003)
@@ -16,21 +18,33 @@ Fp = GF(32003)
 
 def mat(field, rows):
     ncols = len(rows[0]) if rows else 0
-    return Matrix.from_rows(field, [[field.of(x) for x in r] for r in rows], ncols)
+    entries = [[field.of(x) for x in r] for r in rows]
+    return Matrix(field, len(rows), ncols, linalg.to_array(field, entries, ncols))
+
+
+def mul_vector(field, m, v):
+    """Reference product of a Matrix with a vector, in field arithmetic."""
+    out = []
+    for row in m.rows.tolist():
+        acc = field.zero
+        for a, b in zip(row, v):
+            acc = field.add(acc, field.mul(a, b))
+        out.append(acc)
+    return out
 
 
 def test_rref_identity_fixed_point():
-    m = Matrix.identity(QQ, 4)
+    m = Matrix(QQ, 4, 4, linalg.identity(QQ, 4))
     red, piv = linalg.rref(m)
     assert piv == [0, 1, 2, 3]
-    assert red.rows == m.rows
+    assert red.rows.tolist() == m.rows.tolist()
 
 
 def test_rref_simple_rational():
     m = mat(QQ, [[2, 4], [1, 2], [0, 1]])
     red, piv = linalg.rref(m)
     assert piv == [0, 1]
-    assert red.rows == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    assert red.rows.tolist() == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
 
 
 def test_rank_matches_both_engines():
@@ -73,7 +87,7 @@ def test_kernel_vectors_annihilate(rows):
         ker = linalg.kernel_basis(m)
         for j in range(ker.ncols):
             v = [ker.rows[i][j] for i in range(ker.nrows)]
-            assert not any(m.mul_vector(v))
+            assert not any(mul_vector(field, m, v))
 
 
 @given(random_matrix())
@@ -83,7 +97,7 @@ def test_rref_is_idempotent(rows):
     red1, piv1 = linalg.rref(m)
     red2, piv2 = linalg.rref(red1)
     assert piv1 == piv2
-    assert red1.rows == red2.rows
+    assert red1.rows.tolist() == red2.rows.tolist()
 
 
 @given(random_matrix(), st.randoms(use_true_random=False))
@@ -110,7 +124,7 @@ def test_row_space_intersection():
     a = [[f.of(1), f.of(0), f.of(0)], [f.of(0), f.of(1), f.of(0)]]
     b = [[f.of(0), f.of(1), f.of(0)], [f.of(0), f.of(0), f.of(1)]]
     inter = linalg.row_space_intersection(f, a, b, 3)
-    assert inter == [[f.of(0), f.of(1), f.of(0)]]
+    assert inter.tolist() == [[f.of(0), f.of(1), f.of(0)]]
 
 
 @given(random_matrix())
@@ -140,7 +154,7 @@ def test_echelon_basis_incremental():
 def test_solve_particular():
     m = mat(QQ, [[1, 2], [3, 4]])
     x = linalg.solve_particular(m, [QQ.of(5), QQ.of(11)])
-    assert m.mul_vector(x) == [QQ.of(5), QQ.of(11)]
+    assert mul_vector(QQ, m, x) == [QQ.of(5), QQ.of(11)]
 
 
 def test_solve_particular_inconsistent():
@@ -152,7 +166,7 @@ def test_solve_underdetermined_takes_canonical_solution():
     m = mat(QQ, [[1, 1, 1]])
     x = linalg.solve_particular(m, [QQ.of(3)])
     # free variables pinned to zero
-    assert x == [QQ.of(3), QQ.of(0), QQ.of(0)]
+    assert x.tolist() == [QQ.of(3), QQ.of(0), QQ.of(0)]
 
 
 def test_gf_requires_prime():
@@ -195,7 +209,7 @@ def test_prime_engine_refuses_shapes_that_could_overflow():
     for seed in range(5):
         rows = rank_six_product(p, seed)
         with pytest.raises(ValueError, match="overflow"):
-            linalg.rank(Matrix.from_rows(F, rows, 12))
+            linalg.rank(mat(F, rows))
     # a single row never overflows, so small shapes still work
     assert linalg.rank(mat(F, [[p - 1, 2, 3]])) == 1
 
@@ -208,5 +222,108 @@ def test_gf_refuses_primes_too_large_for_int64():
 def test_prime_engine_rank_matches_reference():
     for seed in range(5):
         rows = rank_six_product(32003, seed)
-        assert linalg.rank(Matrix.from_rows(Fp, rows, 12)) == 6
+        assert linalg.rank(mat(Fp, rows)) == 6
         assert rank_mod_p(rows, 32003) == 6
+
+
+# --- the array engine against plain Python-int and Fraction references ----
+
+
+def rref_reference(field, rows, ncols):
+    """Plain Python Gauss-Jordan elimination in field arithmetic: the
+    reference (reduced rows, pivots), pivots scanned left to right."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = [field.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows[: len(pivots)], pivots
+
+
+@st.composite
+def shaped_matrix(draw):
+    """Matrices with 0..6 rows and 0..6 columns, all-zero ones included."""
+    nrows = draw(st.integers(0, 6))
+    ncols = draw(st.integers(0, 6))
+    all_zero = draw(st.integers(0, 3)) == 0
+    entries = st.just(0) if all_zero else st.integers(-20, 20)
+    return [[draw(entries) for _ in range(ncols)] for _ in range(nrows)], ncols
+
+
+@given(shaped_matrix())
+@settings(max_examples=150, deadline=None)
+def test_array_engine_matches_reference_rref(shaped):
+    rows, ncols = shaped
+    for field in (F7, Fp, QQ):
+        entries = [[field.of(x) for x in r] for r in rows]
+        red, piv = linalg._reduce_rows(field, linalg.to_array(field, entries, ncols), ncols)
+        ref_rows, ref_piv = rref_reference(field, entries, ncols)
+        assert red.shape == (len(ref_piv), ncols)
+        assert piv == ref_piv
+        assert red.tolist() == ref_rows
+        _, rank_piv = linalg._reduce_rows(field, entries, ncols, rank_only=True)
+        assert rank_piv == ref_piv
+
+
+def reference_slice(ring, gens, d):
+    """Reference echelon form of I_d: every monomial multiple of every
+    generator, eliminated in Python ints."""
+    from gorensum.poly import Poly
+
+    f = ring.field
+    ncols = len(ring.monomial_basis(d))
+    rows = []
+    for g in gens:
+        if g.degree() <= d:
+            for e in ring.monomial_basis(d - g.degree()):
+                rows.append((Poly(ring, {e: f.one}) * g).coefficient_vector(d))
+    return rref_reference(f, rows, ncols)
+
+
+def test_slice_reduction_over_a_large_prime_is_exact_or_refused():
+    # over GF(2^31 - 1) an int64 sum of three products can overflow, so
+    # small slices reduce exactly and larger ones must be refused
+    p = 2147483647
+    F = GF(p)
+    ring = Ring(["x", "y"], F)
+    rng = random.Random(5)
+    gens = [
+        Poly(ring, {e: rng.randrange(1, p) for e in ring.monomial_basis(2)}),
+    ]
+    slices = IdealSlices(ring, gens)
+    outcomes = set()
+    for d in range(5):
+        ncols = len(ring.monomial_basis(d))
+        ref_rows, ref_piv = reference_slice(ring, gens, d)
+        for _ in range(4):
+            vec = [rng.randrange(p) for _ in range(ncols)]
+            if rng.random() < 0.5 and ref_rows:
+                # a member of I_d: a combination of the reference rows
+                coef = [rng.randrange(p) for _ in ref_rows]
+                vec = [sum(c * r[j] for c, r in zip(coef, ref_rows)) % p
+                       for j in range(ncols)]
+            expected = vec
+            for row, c in zip(ref_rows, ref_piv):
+                expected = [(a - expected[c] * b) % p for a, b in zip(expected, row)]
+            poly = Poly.from_vector(ring, d, vec)
+            try:
+                got = slices.reduce(d, vec).tolist()
+                member = slices.contains(poly)
+            except ValueError as err:
+                assert "overflow" in str(err)
+                outcomes.add("refused")
+                continue
+            assert got == expected
+            assert member == (not any(expected))
+            outcomes.add("exact")
+    assert outcomes == {"exact", "refused"}

@@ -86,6 +86,12 @@ def test_socle_basis_level_of_type_two():
     assert len(socle_basis(A)) == 2
 
 
+def test_socle_basis_without_variables():
+    # the base field itself: nothing multiplies, so 1 spans the socle
+    A = algebra([], [])
+    assert socle_basis(A) == [A.ring.one()]
+
+
 def test_socle_annihilated_by_maximal_ideal():
     A = algebra(["x", "y"], ["x^2 - y^2", "x*y^2"])
     for s in socle_basis(A):
