@@ -12,7 +12,8 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .ideals import Algebra, IdealSlices, minimal_generators
+# minimal_generators is unused here; perfbench/test_perfbench.py reads it
+from .ideals import Algebra, IdealSlices, minimal_generators  # noqa: F401
 from .linalg import Matrix
 from .poly import Poly
 
@@ -84,10 +85,9 @@ def annihilator_slices(F: DualGenerator) -> IdealSlices:
 
 
 def annihilator(F: DualGenerator) -> Algebra:
-    """The AG algebra Q/Ann(F), presented by canonical minimal generators."""
-    slices = annihilator_slices(F)
-    gens = minimal_generators(slices, F.d + 1)
-    return Algebra(F.ring, gens)
+    """The AG algebra Q/Ann(F) on the catalecticant slices; its generators
+    are the canonical minimal generators of Ann(F)."""
+    return Algebra.from_slices(annihilator_slices(F))
 
 
 def hilbert_from_catalecticants(F: DualGenerator):

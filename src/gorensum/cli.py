@@ -6,7 +6,8 @@ Input files are JSON algebra descriptions:
     {"variables": ["u","v"], "field": {"prime": 32003}, "dual_generator": "u^4*v^4"}
 
 Exit codes: 0 success/agreement, 1 disagreement or failed certificate,
-2 usage or parse error.
+2 usage or parse error, 3 internal check failed (an answer that two
+independent computations do not confirm is withheld).
 """
 
 import argparse
@@ -14,12 +15,12 @@ import json
 import random
 import sys
 
-from .apolarity import DualGenerator, annihilator, hilbert_from_catalecticants
+from .apolarity import DualGenerator, annihilator
 from .betti import BettiTable, betti_connected_sum_K, betti_fiber_product_K
 from .constructions import Factor, connected_sum_K, fiber_product_K
 from .doubling import doubling_certificate
 from .fields import GF, QQ, DEFAULT_PRIME
-from .ideals import DEFAULT_DEGREE_CAP, Algebra, NotArtinianError
+from .ideals import DEFAULT_DEGREE_CAP, Algebra, InternalCheckError, NotArtinianError
 from .oracle import ScaleCapError, tor_betti
 from .poly import Poly, Ring, parse_poly
 
@@ -125,7 +126,7 @@ def _cmd_annihilator(args):
     if fac.dual is None:
         raise UsageError("annihilator needs a dual_generator input file")
     gens = fac.algebra.generators
-    hf = list(hilbert_from_catalecticants(fac.dual))
+    hf = list(fac.algebra.hilbert_function())
     _emit(
         args,
         ["ideal: " + ", ".join(str(g) for g in gens), "hilbert: " + " ".join(map(str, hf))],
@@ -135,36 +136,27 @@ def _cmd_annihilator(args):
 
 
 def _construction_tables(kind, factors, args):
-    builder = fiber_product_K if kind == "fiber-product" else connected_sum_K
-    res = builder(factors)
-    formula_fn = (
-        betti_fiber_product_K if kind == "fiber-product" else betti_connected_sum_K
-    )
-    factor_tables = None
-    if args.method in ("formula", "both"):
+    """(result, formula table, oracle table); a table --method skips is None."""
+    if kind == "fiber-product":
+        res = fiber_product_K(factors)
+        formula_fn, extra = betti_fiber_product_K, ()
+    else:
+        res = connected_sum_K(factors)
+        formula_fn, extra = betti_connected_sum_K, (res.socle_degree,)
+    factor_tables = table = oracle_table = None
+    if args.method != "oracle":
         factor_tables = [
             tor_betti(f.algebra, max_dim=args.max_dim) for f in factors
         ]
-    if args.method == "formula":
-        if kind == "fiber-product":
-            table = formula_fn(factor_tables, res.n_vec)
-        else:
-            table = formula_fn(factor_tables, res.n_vec, res.socle_degree)
-        return res, table, None
-    oracle_table = tor_betti(res.presentation, max_dim=args.max_dim)
-    if args.method == "oracle":
-        return res, None, oracle_table
-    if kind == "fiber-product":
-        table = formula_fn(factor_tables, res.n_vec)
-    else:
-        table = formula_fn(factor_tables, res.n_vec, res.socle_degree)
+    if args.method != "formula":
+        oracle_table = tor_betti(res.presentation, max_dim=args.max_dim)
+    if factor_tables is not None:
+        table = formula_fn(factor_tables, res.n_vec, *extra)
     return res, table, oracle_table
 
 
 def _cmd_construction(kind, args):
     factors = _load_factors(args)
-    if len(factors) < 2:
-        raise UsageError(f"{kind} needs at least two input files")
     res, formula, oracle_table = _construction_tables(kind, factors, args)
     hf = list(res.hilbert)
     if args.method == "both":
@@ -234,9 +226,9 @@ def random_dual_factor(rng, nvars, degree, field, prefix="v"):
         if not terms:
             continue
         F = DualGenerator(Poly(ring, terms))
-        hf = hilbert_from_catalecticants(F)
-        if hf[1] == nvars:
-            return Factor(algebra=annihilator(F), dual=F)
+        algebra = annihilator(F)
+        if algebra.slices.dim(1) == 0:
+            return Factor(algebra=algebra, dual=F)
 
 
 def random_instance(rng, field):
@@ -368,6 +360,9 @@ def main(argv=None):
     except (UsageError, ScaleCapError, NotArtinianError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except InternalCheckError as err:
+        print(f"error: internal check failed: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -20,11 +20,11 @@ from .apolarity import (
     contract,
     dual_socle,
 )
-from .ideals import Algebra, IdealSlices, minimal_generators
+from .ideals import Algebra, IdealSlices, InternalCheckError
 from .poly import Poly, embed, joined_ring
 
 
-class RouteDisagreementError(Exception):
+class RouteDisagreementError(InternalCheckError):
     """The presentation route and the dual route produced different ideals."""
 
 
@@ -92,7 +92,7 @@ def fiber_product_K(factors) -> ConstructionResult:
         "fiber_product", [f.algebra.hilbert_function() for f in factors]
     )
     if hf != expected:
-        raise AssertionError(f"fiber product Hilbert mismatch: {hf} vs {expected}")
+        raise InternalCheckError(f"fiber product Hilbert mismatch: {hf} vs {expected}")
     return ConstructionResult(
         presentation=result,
         hilbert=hf,
@@ -147,7 +147,7 @@ def connected_sum_K(factors) -> ConstructionResult:
         socle_degree=d,
     )
     if hf != expected:
-        raise AssertionError(f"connected sum Hilbert mismatch: {hf} vs {expected}")
+        raise InternalCheckError(f"connected sum Hilbert mismatch: {hf} vs {expected}")
     return ConstructionResult(
         presentation=pres,
         hilbert=hf,
@@ -178,16 +178,15 @@ def connected_sum_T(F: DualGenerator, G: DualGenerator, tau: Poly):
     ring = F.ring
     fld = ring.field
     d = F.d
-    ann_f = annihilator_slices(F)
-    ann_g = annihilator_slices(G)
+    ann_f = annihilator(F)
+    ann_g = annihilator(G)
     inter = {}
     for deg in range(d + 2):
         ncols = len(ring.monomial_basis(deg))
         inter[deg] = linalg.row_space_intersection(
-            fld, ann_f.slice(deg)[0], ann_g.slice(deg)[0], ncols
+            fld, ann_f.slices.slice(deg)[0], ann_g.slices.slice(deg)[0], ncols
         )
-    fp_slices = IdealSlices.from_degree_rows(ring, inter)
-    fp_algebra = Algebra(ring, minimal_generators(fp_slices, d + 1))
+    fp_algebra = Algebra.from_slices(IdealSlices.from_degree_rows(ring, inter))
 
     cs_algebra = annihilator(DualGenerator(F.F - G.F))
 
@@ -199,17 +198,17 @@ def connected_sum_T(F: DualGenerator, G: DualGenerator, tau: Poly):
         t_algebra = annihilator(DualGenerator(t_dual))
         k = t_dual.degree()
 
-    hf_a = annihilator(F).hilbert_function()
-    hf_b = annihilator(G).hilbert_function()
+    hf_a = ann_f.hilbert_function()
+    hf_b = ann_g.hilbert_function()
     hf_t = t_algebra.hilbert_function()
     fp_hf = tuple(fp_algebra.hilbert_function())
     cs_hf = tuple(cs_algebra.hilbert_function())
     if fp_hf != hilbert_closed_form("fiber_product", [hf_a, hf_b], t_hf=hf_t):
-        raise AssertionError("fiber product Hilbert identity fails over T")
+        raise InternalCheckError("fiber product Hilbert identity fails over T")
     if cs_hf != hilbert_closed_form(
         "connected_sum", [hf_a, hf_b], socle_degree=d, t_hf=hf_t, k=k
     ):
-        raise AssertionError("connected sum Hilbert identity fails over T")
+        raise InternalCheckError("connected sum Hilbert identity fails over T")
 
     fp = ConstructionResult(fp_algebra, fp_hf, "fiber_product")
     cs = ConstructionResult(cs_algebra, cs_hf, "connected_sum", socle_degree=d)
@@ -242,26 +241,19 @@ def hilbert_closed_form(kind, factor_hfs, socle_degree=None, t_hf=None, k=0):
     if r < 2:
         raise ValueError("need at least two factors")
     length = max(len(h) for h in factor_hfs)
-    total = [sum(h[i] if i < len(h) else 0 for h in factor_hfs) for i in range(length)]
+    out = [sum(h[i] if i < len(h) else 0 for h in factor_hfs) for i in range(length)]
     if t_hf is None:
-        t_terms = [(0, [1])]  # T = K
-        d_shift = socle_degree
-    else:
-        t_terms = [(0, list(t_hf))]
-        d_shift = socle_degree - k if socle_degree is not None else None
-    out = list(total)
-    # subtract (r-1) copies of HF_T at shift 0
-    for shift, hf_t in t_terms:
-        for i, c in enumerate(hf_t):
-            out[shift + i] -= (r - 1) * c
+        t_hf, k = (1,), 0  # T = K
+    # r-1 copies of HF_T, and for a connected sum r-1 more shifted by d-k
+    for i, c in enumerate(t_hf):
+        out[i] -= (r - 1) * c
     if kind == "connected_sum":
-        for shift, hf_t in t_terms:
-            for i, c in enumerate(hf_t):
-                idx = d_shift + shift + i
-                if idx < len(out):
-                    out[idx] -= (r - 1) * c
-                elif c:
-                    raise ValueError("inconsistent inputs")
+        shift = socle_degree - k
+        for i, c in enumerate(t_hf):
+            if shift + i < len(out):
+                out[shift + i] -= (r - 1) * c
+            elif c:
+                raise ValueError("inconsistent inputs")
     elif kind != "fiber_product":
         raise ValueError(f"unknown construction kind {kind!r}")
     while out and out[-1] == 0:

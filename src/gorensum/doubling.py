@@ -10,7 +10,7 @@ module is out of scope, which the verdict text says explicitly.
 from dataclasses import dataclass, field
 
 from .constructions import connected_sum_K, fiber_product_ideal
-from .ideals import Algebra, NotArtinianError, _stabilized
+from .ideals import Algebra, NotArtinianError
 from .oracle import socle_basis
 
 NOTE = (
@@ -33,24 +33,17 @@ def cm1_check(algebra):
 
     Dimension 1 is detected as the Hilbert function becoming a nonzero
     constant, and dimension >= 2 as a Hilbert polynomial of positive degree
-    (stabilization triggers shared with the Artinian probe); depth >= 1 is
+    (Algebra.hilbert_scan, shared with the Artinian probe); depth >= 1 is
     the absence of elements killed by every variable in degrees up to reg+1.
     The h-vector h satisfies HF series = h(s)/(1-s).
     """
-    cap = algebra.degree_cap
-    gen_top = max((g.degree() for g in algebra.generators), default=0)
-    hf = []
-    stab = None
-    for d in range(cap + 1):
-        hf.append(algebra.slices.codim(d))
-        if hf[-1] == 0:
-            return Cm1Result(ok=False, reason="dimension = 0 (Artinian)")
-        stab = _stabilized(hf, gen_top, algebra.ring.nvars)
-        if stab is not None:
-            break
+    hf, stab = algebra.hilbert_scan()
+    if hf and hf[-1] == 0:
+        return Cm1Result(ok=False, reason="dimension = 0 (Artinian)")
     if stab is None:
         return Cm1Result(
-            ok=False, reason=f"dimension != 1 within degree cap {cap}"
+            ok=False,
+            reason=f"dimension != 1 within degree cap {algebra.degree_cap}",
         )
     stab, e = stab
     if e:

@@ -6,6 +6,12 @@ Slice d is the canonical reduced row echelon form (rows, pivots) of I_d over
 the degree-d monomial basis, rows being a 2-D numpy array as in `linalg`
 (int64 over GF(p), Fraction objects over QQ); this makes generator
 extraction and all downstream comparisons canonical.
+
+An IdealSlices is built either from generators, which are then its
+`generators` and whose multiples make up each slice, or from rows spanning
+all of I_d in degrees 0..top (`from_degree_rows`, e.g. catalecticant
+kernels), when its `generators` are the canonical minimal generators read
+off those slices on first use.
 """
 
 from math import comb
@@ -20,6 +26,10 @@ class NotArtinianError(Exception):
     pass
 
 
+class InternalCheckError(Exception):
+    """Two independent computations of one answer disagree."""
+
+
 DEFAULT_DEGREE_CAP = 64
 
 
@@ -31,10 +41,12 @@ class IdealSlices:
             if not g.is_homogeneous():
                 raise ValueError(f"generator {k} is not homogeneous")
         self.ring = ring
-        self.generators = [g for g in generators if not g.is_zero()]
+        self._generators = [g for g in generators if not g.is_zero()]
         self._gens_by_degree = {}
-        for g in self.generators:
+        for g in self._generators:
             self._gens_by_degree.setdefault(g.degree(), []).append(g)
+        # no minimal generator lies past this degree
+        self.generator_degree_bound = max(self._gens_by_degree, default=0)
         # per degree: (echelon rows, pivot columns)
         self._slices = []
         self._extra_rows = {}  # complete degrees given as rows (from_degree_rows)
@@ -48,11 +60,22 @@ class IdealSlices:
         the intersections Ann(F)_d & Ann(G)_d of two do.  Slice d is then the
         reduced echelon form of those rows alone, with no multiply-up from
         degree d-1; degrees past the last given one are multiplied up.
-        Generators are recovered afterwards via minimal_generators.
+        The given degrees run from 0 to the largest, which bounds the
+        generator degrees.
         """
         obj = cls(ring, [])
         obj._extra_rows = dict(rows_by_degree)
+        obj.generator_degree_bound = max(obj._extra_rows, default=0)
+        obj._generators = None
         return obj
+
+    @property
+    def generators(self):
+        """The given generators, or the canonical minimal generators of
+        slices built from complete degrees (computed on first read)."""
+        if self._generators is None:
+            self._generators = minimal_generators(self, self.generator_degree_bound)
+        return self._generators
 
     def ensure(self, dmax):
         f = self.ring.field
@@ -61,6 +84,7 @@ class IdealSlices:
             ncols = len(self.ring.monomial_basis(d))
             # the blocks _rows stacks are freed before the elimination runs
             self._slices.append(linalg._reduce_rows(f, self._rows(d, ncols), ncols))
+            self._extra_rows.pop(d, None)  # given rows are not needed again
 
     def _rows(self, d, ncols):
         """Rows spanning I_d: the given rows of a complete degree, else the
@@ -243,16 +267,28 @@ class Algebra:
 
     @classmethod
     def from_slices(cls, slices, degree_cap=DEFAULT_DEGREE_CAP):
-        obj = cls.__new__(cls)
-        obj.ring = slices.ring
+        obj = cls(slices.ring, [], degree_cap)
         obj.slices = slices
-        obj.degree_cap = degree_cap
-        obj._hf = None
         return obj
 
     @property
     def generators(self):
         return self.slices.generators
+
+    def hilbert_scan(self):
+        """(dims, stab): the codimensions from degree 0 up to the first 0
+        (Artinian), the degree where _stabilized fires, or the degree cap;
+        stab is the (degree, e) verdict of _stabilized, else None."""
+        bound = self.slices.generator_degree_bound
+        dims = []
+        for d in range(self.degree_cap + 1):
+            dims.append(self.slices.codim(d))
+            if dims[-1] == 0:
+                break
+            stab = _stabilized(dims, bound, self.ring.nvars)
+            if stab is not None:
+                return dims, stab
+        return dims, None
 
     def hilbert_function(self):
         """Hilbert function through the socle degree (Artinian inputs only).
@@ -262,25 +298,16 @@ class Algebra:
         generator degrees), else by hitting the degree cap.
         """
         if self._hf is None:
-            gen_top = max((g.degree() for g in self.slices.generators), default=0)
-            gen_top = max(gen_top, *self.slices._extra_rows.keys(), 0) \
-                if self.slices._extra_rows else gen_top
-            dims = []
-            for d in range(self.degree_cap + 1):
-                c = self.slices.codim(d)
-                dims.append(c)
-                if c == 0:
-                    break
-                stab = _stabilized(dims, gen_top, self.ring.nvars)
-                if stab is not None:
-                    start, e = stab
-                    raise NotArtinianError(
-                        f"Hilbert function is constant ({c}) from degree "
-                        f"{start} on; not Artinian" if e == 0 else
-                        f"Hilbert polynomial has degree {e} from degree "
-                        f"{start} on; not Artinian"
-                    )
-            else:
+            dims, stab = self.hilbert_scan()
+            if stab is not None:
+                start, e = stab
+                raise NotArtinianError(
+                    f"Hilbert function is constant ({dims[-1]}) from degree "
+                    f"{start} on; not Artinian" if e == 0 else
+                    f"Hilbert polynomial has degree {e} from degree "
+                    f"{start} on; not Artinian"
+                )
+            if not dims or dims[-1]:
                 raise NotArtinianError(
                     f"not Artinian within degree cap {self.degree_cap}"
                 )

@@ -10,8 +10,8 @@ Groebner machinery is involved.
 import itertools
 
 from . import linalg
-from .betti import BettiTable
-from .ideals import Algebra
+from .betti import BettiTable, binom
+from .ideals import Algebra, InternalCheckError
 from .poly import Poly
 
 
@@ -25,28 +25,18 @@ def hilbert_function(algebra: Algebra):
 
 
 class _QuotientArithmetic:
-    """Hilbert function of A = Q/I and its multiplication maps by each
-    variable, cached per (variable, degree)."""
+    """Hilbert function hf of A = Q/I over the scanned degrees and its
+    multiplication maps by each variable, cached per (variable, degree)."""
 
-    def __init__(self, algebra, top=None):
+    def __init__(self, algebra, hf):
         self.algebra = algebra
         self.ring = algebra.ring
         self.field = algebra.ring.field
-        if top is None:
-            self.hf = list(algebra.hilbert_function())
-            self.artinian = True
-        else:
-            self.hf = algebra.hilbert_values(top + 1)
-            self.artinian = False
-        self.top = len(self.hf) - 1
+        self.hf = hf
         self._mult = {}
 
     def dim(self, d):
-        if 0 <= d <= self.top:
-            return self.hf[d]
-        if d > self.top and not self.artinian:
-            raise ValueError(f"degree {d} beyond the computed range")
-        return 0
+        return self.hf[d] if 0 <= d < len(self.hf) else 0
 
     def mult_columns(self, k, d):
         """Multiplication by x_k from A_d to A_(d+1), one row per basis
@@ -101,17 +91,17 @@ def tor_betti(algebra: Algebra, max_vars=8, max_dim=2000, check_d2=False,
     n = ring.nvars
     if n > max_vars:
         raise ScaleCapError(f"{n} variables exceeds the cap of {max_vars}")
+    # qa.dim is 0 outside hf: exact past the socle degree, and with
+    # max_internal_degree never reached (j <= max_internal_degree, and
+    # i >= 1 wherever degree j - i + 1 is read)
     if max_internal_degree is None:
         hf = list(algebra.hilbert_function())
         socle = len(hf) - 1
-        qa = _QuotientArithmetic(algebra)
         jmax = lambda i: i + socle
-        euler_cap = None
     else:
         hf = algebra.hilbert_values(max_internal_degree + 1)
-        qa = _QuotientArithmetic(algebra, top=max_internal_degree)
         jmax = lambda i: max_internal_degree
-        euler_cap = max_internal_degree
+    qa = _QuotientArithmetic(algebra, hf)
     if sum(hf) > max_dim:
         raise ScaleCapError(f"dim_K {sum(hf)} exceeds the cap of {max_dim}")
     f = ring.field
@@ -132,7 +122,7 @@ def tor_betti(algebra: Algebra, max_vars=8, max_dim=2000, check_d2=False,
                     linalg.Matrix(f, nrows, ncols, rows)
                 )
             if check_d2 and 0 < ncols <= 80 and i >= 2:
-                _assert_d_squared_zero(qa, i, j)
+                _check_d_squared_zero(qa, i, j)
         return rank_cache[key]
 
     for i in range(n + 1):
@@ -142,27 +132,26 @@ def tor_betti(algebra: Algebra, max_vars=8, max_dim=2000, check_d2=False,
                 continue
             b = dim_ij - drank(i, j) - drank(i + 1, j)
             if b < 0:
-                raise AssertionError(f"negative homology rank at ({i},{j})")
+                raise InternalCheckError(f"negative homology rank at ({i},{j})")
             if b:
                 table.add(i, j, b)
 
-    _euler_check(table, hf, n, cap=euler_cap)
+    _euler_check(table, hf, n, cap=max_internal_degree)
     return table
 
 
-def _assert_d_squared_zero(qa, i, j):
+def _check_d_squared_zero(qa, i, j):
     rows2, nr2, nc2 = _koszul_differential(qa, i, j)
     rows1, nr1, nc1 = _koszul_differential(qa, i - 1, j)
     if nr2 == 0 or nc2 == 0 or nr1 == 0:
         return
-    assert not linalg.matmul(qa.field, rows1, rows2).any(), f"d^2 != 0 at ({i},{j})"
+    if linalg.matmul(qa.field, rows1, rows2).any():
+        raise InternalCheckError(f"d^2 != 0 at ({i},{j})")
 
 
 def _euler_check(table, hf, n, cap=None):
     # coefficients of HF_A(s) * (1-s)^n
     target = {}
-    from .betti import binom
-
     for d, h in enumerate(hf):
         for k in range(n + 1):
             c = h * binom(n, k) * (-1) ** k
@@ -175,7 +164,7 @@ def _euler_check(table, hf, n, cap=None):
         degrees = {j for j in degrees if j <= cap}
     for j in degrees:
         if target.get(j, 0) != got.get(j, 0):
-            raise AssertionError(
+            raise InternalCheckError(
                 f"Euler characteristic mismatch in internal degree {j}: "
                 f"{got.get(j, 0)} vs {target.get(j, 0)}"
             )

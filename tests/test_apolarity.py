@@ -19,7 +19,8 @@ from gorensum.apolarity import (
 )
 from gorensum.cli import random_dual_factor
 from gorensum.fields import GF, QQ
-from gorensum.ideals import IdealSlices, minimal_generators
+from gorensum.ideals import Algebra, IdealSlices, minimal_generators
+from gorensum.oracle import socle_basis, tor_betti
 from gorensum.poly import Poly, Ring, parse_poly
 
 
@@ -280,3 +281,22 @@ def test_annihilator_slices_are_complete(field, seed):
     for d in range(F.d + 2):
         assert linalg.echelon_equal(ann.slice(d), ref.slice(d))
     assert annihilator(F).generators == minimal_generators(ref, F.d + 1)
+
+
+@pytest.mark.parametrize("field", [GF(7), GF(32003), QQ], ids=str)
+def test_annihilator_is_derived_once(monkeypatch, field):
+    # Ann(F) keeps its catalecticant slices: reading its Hilbert function,
+    # Betti table and socle multiplies nothing up again
+    rng = random.Random(200)
+    F = random_dual_factor(rng, 3, 4, field).dual
+    ref = Algebra(F.ring, annihilator(F).generators)
+    expected = (ref.hilbert_function(), tor_betti(ref), socle_basis(ref))
+    A = annihilator(F)
+
+    def refuse(self, d, rows):
+        raise AssertionError("Ann(F) was multiplied up again")
+
+    monkeypatch.setattr(IdealSlices, "_multiply_up", refuse)
+    assert A.hilbert_function() == hilbert_from_catalecticants(F) == expected[0]
+    assert tor_betti(A) == expected[1]
+    assert socle_basis(A) == expected[2]

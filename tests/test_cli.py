@@ -202,3 +202,17 @@ def test_degree_cap_bounds_ideal_inputs(tmp_path, capsys):
     assert "not Artinian within degree cap 4" in capsys.readouterr().err
     assert main(["hilbert", path]) == 0
     assert capsys.readouterr().out.split() == ["1"] * 9
+
+
+def test_internal_check_failure_exits_3(factor_files, capsys, monkeypatch):
+    from gorensum import constructions
+
+    monkeypatch.setattr(constructions, "hilbert_closed_form", lambda *a, **k: (1, 1))
+    assert main(["connected-sum", *factor_files]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(
+        "error: internal check failed: connected sum Hilbert mismatch:"
+    )

@@ -64,6 +64,16 @@ class TestCm1:
         # slices through degree 4 only, not up to the degree cap
         assert len(A.slices._slices) == len(B.slices._slices) == 5
 
+    def test_scan_stops_at_the_degree_cap(self):
+        # h = 1, 2, 2, ...: by degree 2 neither stabilization trigger can fire
+        ring = Ring(["x", "y"], Fp)
+        J = Algebra(ring, [parse_poly(ring, "x*y")], degree_cap=2)
+        r = cm1_check(J)
+        assert not r.ok
+        assert r.reason == "dimension != 1 within degree cap 2"
+        assert len(J.slices._slices) == 3
+        assert cm1_check(algebra(["x", "y"], ["x*y"])).ok
+
 
 def test_canonical_hilbert_expansions():
     hf = canonical_hilbert((1, 2))

@@ -1,7 +1,13 @@
 """The Koszul-homology Betti oracle against hand-checkable resolutions."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import gorensum
 from gorensum.betti import BettiTable, betti_socle2, cross_ideal_multi_table
 from gorensum.fields import GF, QQ
 from gorensum.ideals import Algebra, NotArtinianError
@@ -104,3 +110,36 @@ def test_regularity_equals_socle_degree():
     for gens in (["x^3", "y^3"], ["x^2", "x*y", "y^4"]):
         A = algebra(["x", "y"], gens)
         assert tor_betti(A).regularity() == A.socle_degree
+
+
+def test_d_squared_check_survives_python_O():
+    # a corrupted map for x on A_0 breaks x*y = y*x; under -O an assert
+    # would be stripped and the check would pass silently
+    script = textwrap.dedent("""
+        import sys
+        from gorensum.fields import GF
+        from gorensum.ideals import Algebra, IdealSlices
+        from gorensum.oracle import tor_betti
+        from gorensum.poly import Ring, parse_poly
+
+        real = IdealSlices.multiplication
+
+        def skewed(self, k, d):
+            m = real(self, k, d)
+            return m * 2 % 32003 if (k, d) == (0, 0) else m
+
+        IdealSlices.multiplication = skewed
+        print(sys.flags.optimize)
+        ring = Ring(["x", "y"], GF(32003))
+        A = Algebra(ring, [parse_poly(ring, "x^2"), parse_poly(ring, "y^2")])
+        tor_betti(A, check_d2=True)
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gorensum.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout == "1\n"
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1].endswith(
+        "InternalCheckError: d^2 != 0 at (2,2)"
+    )
