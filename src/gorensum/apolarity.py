@@ -15,7 +15,7 @@ from . import linalg
 # minimal_generators is unused here; perfbench/test_perfbench.py reads it
 from .ideals import Algebra, IdealSlices, minimal_generators  # noqa: F401
 from .linalg import Matrix
-from .poly import Poly
+from .poly import Poly, product_table
 
 
 def contract(f, F):
@@ -51,37 +51,24 @@ class DualGenerator:
 
 
 def catalecticant(F: DualGenerator, i: int) -> Matrix:
-    """Matrix of f |-> f o F from Q_i to Q'_(d-i), over the monomial bases."""
+    """Matrix of f |-> f o F from Q_i to Q'_(d-i), over the monomial bases:
+    entry (e, a) is the coefficient of F at the product of e and a."""
     if not 0 <= i <= F.d:
         raise ValueError(f"degree {i} outside 0..{F.d}")
-    ring = F.ring
-    fld = ring.field
-    dom = ring.monomial_basis(i)
-    codom_index = ring.monomial_index(F.d - i)
-    m = Matrix(fld, len(codom_index), len(dom))
-    for c, a in enumerate(dom):
-        for b, cb in F.F.terms.items():
-            if all(bi >= ai for ai, bi in zip(a, b)):
-                e = tuple(bi - ai for ai, bi in zip(a, b))
-                m.rows[codom_index[e], c] = cb
-    return m
+    fld, vec = F.ring.field, F.F.coefficient_vector(F.d)
+    rows = linalg.to_array(fld, [vec], len(vec))[0][product_table(F.ring.nvars, F.d - i, i)]
+    return Matrix(fld, *rows.shape, rows)
 
 
 def annihilator_slices(F: DualGenerator) -> IdealSlices:
-    """Slices of Ann(F) through degree d+1: Ann(F)_i is the kernel of the
-    i-th catalecticant, which makes every degree complete in the sense of
-    IdealSlices.from_degree_rows."""
-    ring = F.ring
-    rows_by_degree = {}
-    for i in range(F.d + 1):
-        rows_by_degree[i] = linalg.kernel_rows(
-            ring.field, catalecticant(F, i).rows, len(ring.monomial_basis(i))
-        )
-    # beyond the socle degree the ideal is everything
-    rows_by_degree[F.d + 1] = linalg.identity(
-        ring.field, len(ring.monomial_basis(F.d + 1))
-    )
-    return IdealSlices.from_degree_rows(ring, rows_by_degree)
+    """Slices of Ann(F): its inverse system in degree i is spanned by the
+    contractions of F by the monomials of degree d-i, the columns of that
+    catalecticant, and is 0 past the socle degree d."""
+    fld, basis = F.ring.field, F.ring.monomial_basis
+    duals = [linalg._reduce_rows(fld, catalecticant(F, F.d - i).rows.T, len(basis(i)))
+             for i in range(F.d + 1)]
+    duals.append((linalg.zeros(fld, (0, len(basis(F.d + 1)))), []))
+    return IdealSlices.from_duals(F.ring, duals)
 
 
 def annihilator(F: DualGenerator) -> Algebra:
@@ -142,6 +129,13 @@ def check_cs_conditions(F: DualGenerator, G: DualGenerator, tau: Poly) -> CsRepo
     (b) Ann(tau o F) = Ann(F) + Ann(G) in every degree through k+1,
     where k is the socle degree of T.
     """
+    return _cs_conditions(F, G, tau, annihilator_slices(F), annihilator_slices(G))[0]
+
+
+def _cs_conditions(F, G, tau, ann_f, ann_g):
+    """check_cs_conditions on the slices of Ann(F) and Ann(G): (report, the
+    slices of Ann(tau o F) if built, else None, the echelon forms of
+    Phi_F + Phi_G = (Ann F & Ann G)^perp in degrees 0..d+1)."""
     if F.ring != G.ring or tau.ring != F.ring:
         raise ValueError("F, G and tau must live in one ring")
     if F.d != G.d:
@@ -149,53 +143,30 @@ def check_cs_conditions(F: DualGenerator, G: DualGenerator, tau: Poly) -> CsRepo
     if tau.is_zero() or not tau.is_homogeneous():
         raise ValueError("tau must be homogeneous and nonzero")
 
-    tF = contract(tau, F.F)
-    tG = contract(tau, G.F)
+    fld, basis = F.ring.field, F.ring.monomial_basis
+    stacks = [np.concatenate([ann_f.dual(i)[0], ann_g.dual(i)[0]]) for i in range(F.d + 2)]
+    sums = [linalg._reduce_rows(fld, s, len(basis(i))) for i, s in enumerate(stacks)]
+    tF, tG = contract(tau, F.F), contract(tau, G.F)
     cond_a = (not tF.is_zero()) and tF == tG
-
     if tau.degree() == 0:
         # Scalar tau: the only sensible target is T = K.  The literal
         # condition (a) compares F and G themselves; for factors in disjoint
         # variables the projections to K are trivially compatible instead.
         disjoint = not (_support(F.F) & _support(G.F))
-        note = (
-            "disjoint-variable, trivially compatible (T = K)"
-            if disjoint
-            else "scalar tau without disjoint variables"
-        )
-        return CsReport(
-            condition_a=cond_a,
-            condition_b=disjoint,
-            t_is_base_field=True,
-            note=note,
-            holds=disjoint,
-            k=0,
-        )
+        note = ("disjoint-variable, trivially compatible (T = K)" if disjoint
+                else "scalar tau without disjoint variables")
+        report = CsReport(cond_a, disjoint, t_is_base_field=True, note=note, holds=disjoint)
+        return report, None, sums
 
     k = F.d - tau.degree()
     if not cond_a:
-        return CsReport(condition_a=False, condition_b=False, holds=False, k=k)
-
-    T_dual = DualGenerator(tF)
-    ann_t = annihilator_slices(T_dual)
-    ann_f = annihilator_slices(F)
-    ann_g = annihilator_slices(G)
-    fld = F.ring.field
-    for d in range(k + 2):
-        # slice(d) of Ann(tau o F) is already canonical; reduce only the sum
-        ncols = len(F.ring.monomial_basis(d))
-        rhs = np.concatenate([ann_f.slice(d)[0], ann_g.slice(d)[0]])
-        if not linalg.echelon_equal(
-            ann_t.slice(d), linalg._reduce_rows(fld, rhs, ncols)
-        ):
-            return CsReport(
-                condition_a=True,
-                condition_b=False,
-                first_failing_degree=d,
-                holds=False,
-                k=k,
-            )
-    return CsReport(condition_a=True, condition_b=True, holds=True, k=k)
+        return CsReport(False, False, k=k), None, sums
+    ann_t = annihilator_slices(DualGenerator(tF))
+    # Ann(F) + Ann(G) lies in Ann(tau o F) by (a): equal dimensions make them equal
+    failing = next((d for d in range(k + 2) if ann_t.codim(d)
+                    != ann_f.codim(d) + ann_g.codim(d) - len(sums[d][0])), None)
+    ok = failing is None
+    return CsReport(True, ok, first_failing_degree=failing, holds=ok, k=k), ann_t, sums
 
 
 def _support(poly):

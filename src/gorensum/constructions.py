@@ -16,8 +16,8 @@ from .apolarity import (
     DualGenerator,
     annihilator,
     annihilator_slices,
-    check_cs_conditions,
     contract,
+    _cs_conditions,
     dual_socle,
 )
 from .ideals import Algebra, IdealSlices, InternalCheckError
@@ -130,14 +130,14 @@ def connected_sum_K(factors) -> ConstructionResult:
     dual_gen = DualGenerator(f_big)
     dual_slices = annihilator_slices(dual_gen)
 
-    # both slices are canonical reduced echelon forms, so equal ideals give
-    # equal (rows, pivots)
+    # both inverse systems are canonical reduced echelon forms, so equal
+    # ideals give equal (rows, pivots)
     for deg in range(d + 2):
-        if not linalg.echelon_equal(pres.slices.slice(deg), dual_slices.slice(deg)):
+        if not linalg.echelon_equal(pres.slices.dual(deg), dual_slices.dual(deg)):
             raise RouteDisagreementError(
                 "presentation and dual routes disagree in degree "
                 f"{deg}: dims {pres.slices.dim(deg)} vs "
-                f"{len(dual_slices.slice(deg)[0])}; generators {pres_gens}"
+                f"{dual_slices.dim(deg)}; generators {pres_gens}"
             )
 
     hf = tuple(pres.hilbert_function())
@@ -165,7 +165,8 @@ def connected_sum_T(F: DualGenerator, G: DualGenerator, tau: Poly):
     """
     if (F.F - G.F).is_zero() or _proportional(F.F, G.F):
         raise ValueError("factors must be linearly independent")
-    report = check_cs_conditions(F, G, tau)
+    ann_f, ann_g = annihilator_slices(F), annihilator_slices(G)
+    report, ann_t, sums = _cs_conditions(F, G, tau, ann_f, ann_g)
     if not report.holds:
         which = "(a)" if not report.condition_a else "(b)"
         detail = (
@@ -175,31 +176,16 @@ def connected_sum_T(F: DualGenerator, G: DualGenerator, tau: Poly):
         )
         raise ValueError(f"connected sum condition {which} fails{detail}")
 
-    ring = F.ring
-    fld = ring.field
     d = F.d
-    ann_f = annihilator(F)
-    ann_g = annihilator(G)
-    inter = {}
-    for deg in range(d + 2):
-        ncols = len(ring.monomial_basis(deg))
-        inter[deg] = linalg.row_space_intersection(
-            fld, ann_f.slices.slice(deg)[0], ann_g.slices.slice(deg)[0], ncols
-        )
-    fp_algebra = Algebra.from_slices(IdealSlices.from_degree_rows(ring, inter))
-
+    # (Ann F & Ann G)^perp = Phi_F + Phi_G
+    fp_algebra = Algebra.from_slices(IdealSlices.from_duals(F.ring, sums))
     cs_algebra = annihilator(DualGenerator(F.F - G.F))
-
     t_dual = contract(tau, F.F)
-    if t_dual.degree() == 0:
-        t_algebra = Algebra(ring, [ring.var_poly(v) for v in ring.variables])
-        k = 0
-    else:
-        t_algebra = annihilator(DualGenerator(t_dual))
-        k = t_dual.degree()
+    # a scalar tau builds no T in the checks
+    t_algebra = Algebra.from_slices(ann_t or annihilator_slices(DualGenerator(t_dual)))
+    k = t_dual.degree()
 
-    hf_a = ann_f.hilbert_function()
-    hf_b = ann_g.hilbert_function()
+    hf_a, hf_b = (Algebra.from_slices(s).hilbert_function() for s in (ann_f, ann_g))
     hf_t = t_algebra.hilbert_function()
     fp_hf = tuple(fp_algebra.hilbert_function())
     cs_hf = tuple(cs_algebra.hilbert_function())
@@ -240,22 +226,19 @@ def hilbert_closed_form(kind, factor_hfs, socle_degree=None, t_hf=None, k=0):
     r = len(factor_hfs)
     if r < 2:
         raise ValueError("need at least two factors")
+    if kind not in ("fiber_product", "connected_sum"):
+        raise ValueError(f"unknown construction kind {kind!r}")
     length = max(len(h) for h in factor_hfs)
     out = [sum(h[i] if i < len(h) else 0 for h in factor_hfs) for i in range(length)]
     if t_hf is None:
         t_hf, k = (1,), 0  # T = K
     # r-1 copies of HF_T, and for a connected sum r-1 more shifted by d-k
-    for i, c in enumerate(t_hf):
-        out[i] -= (r - 1) * c
-    if kind == "connected_sum":
-        shift = socle_degree - k
+    for shift in (0, socle_degree - k) if kind == "connected_sum" else (0,):
         for i, c in enumerate(t_hf):
             if shift + i < len(out):
                 out[shift + i] -= (r - 1) * c
             elif c:
                 raise ValueError("inconsistent inputs")
-    elif kind != "fiber_product":
-        raise ValueError(f"unknown construction kind {kind!r}")
     while out and out[-1] == 0:
         out.pop()
     if any(c < 0 for c in out):

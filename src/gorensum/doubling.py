@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 from .constructions import connected_sum_K, fiber_product_ideal
 from .ideals import Algebra, NotArtinianError
+from .linalg import reduce_vector
 from .oracle import socle_basis
 
 NOTE = (
@@ -132,7 +133,8 @@ def doubling_certificate(J: Algebra, I: Algebra) -> DoublingCertificate:
     dmax = (t if t is not None else (cm1.reg if cm1.ok else 0)) + 1
     contained = True
     for d in range(dmax + 1):
-        if I.slices.reduce(d, J.slices.slice(d)[0]).any():
+        # J_d lies in I_d exactly when (I^perp)_d lies in (J^perp)_d
+        if reduce_vector(J.ring.field, *J.slices.dual(d), I.slices.dual(d)[0]).any():
             contained = False
             reasons["containment"] = f"J is not contained in I in degree {d}"
             break

@@ -2,18 +2,23 @@
 
 Every ideal in scope cuts out an Artinian or 1-dimensional quotient, so a
 finite list of graded slices suffices; no Groebner machinery is needed.
-Slice d is the canonical reduced row echelon form (rows, pivots) of I_d over
-the degree-d monomial basis, rows being a 2-D numpy array as in `linalg`
-(int64 over GF(p), Fraction objects over QQ); this makes generator
-extraction and all downstream comparisons canonical.
+Slice d is the inverse system (I^perp)_d = {Lambda in Q'_d : g o Lambda = 0
+for g in I_d} under contraction, kept as its canonical reduced echelon form
+Phi_d (rows, pivots): h_d = dim (Q/I)_d rows over the N_d degree-d monomials,
+a 2-D numpy array as in `linalg`.  Equal ideals have equal slices.
 
-An IdealSlices is built either from generators, which are then its
-`generators` and whose multiples make up each slice, or from rows spanning
-all of I_d in degrees 0..top (`from_degree_rows`, e.g. catalecticant
-kernels), when its `generators` are the canonical minimal generators read
-off those slices on first use.
+An IdealSlices is built from generators, integrating Phi_d from Phi_(d-1)
+(Mourrain's integration method), or from slices given in degrees 0..top
+(`from_duals`, e.g. the contractions of a dual generator); its `generators`
+are then the canonical minimal generators, read off on first use.
+The readers cost O(N_d h_d^2): the quotient monomials Q (the non-pivots of
+the echelon form of I_d) are the columns of Phi_d independent scanning right
+to left, and the normal form of the c-th monomial over them is column c of
+E_d = Phi_d[:, Q]^-1 Phi_d, which multiplication, socles, reduction,
+membership and the echelon form of I_d itself all read.
 """
 
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -34,7 +39,7 @@ DEFAULT_DEGREE_CAP = 64
 
 
 class IdealSlices:
-    """Graded slices of a homogeneous ideal, echelonized per degree."""
+    """Graded inverse system of a homogeneous ideal, echelonized per degree."""
 
     def __init__(self, ring, generators):
         for k, g in enumerate(generators):
@@ -47,62 +52,67 @@ class IdealSlices:
             self._gens_by_degree.setdefault(g.degree(), []).append(g)
         # no minimal generator lies past this degree
         self.generator_degree_bound = max(self._gens_by_degree, default=0)
-        # per degree: (echelon rows, pivot columns)
+        # per degree: canonical echelon form (rows, pivots) of (I^perp)_d
         self._slices = []
-        self._extra_rows = {}  # complete degrees given as rows (from_degree_rows)
+        self._normal = {}  # per degree: (quotient monomials, E_d)
 
     @classmethod
-    def from_degree_rows(cls, ring, rows_by_degree):
-        """Build slices from raw per-degree rows instead of generators.
-
-        Each given degree must be complete: its rows span all of I_d, as the
-        catalecticant kernels ker(cat_d) = Ann(F)_d of an annihilator or
-        the intersections Ann(F)_d & Ann(G)_d of two do.  Slice d is then the
-        reduced echelon form of those rows alone, with no multiply-up from
-        degree d-1; degrees past the last given one are multiplied up.
-        The given degrees run from 0 to the largest, which bounds the
-        generator degrees.
-        """
+    def from_duals(cls, ring, duals):
+        """Slices given as the canonical echelon forms of (I^perp)_d for
+        d = 0..top, each complete; past top they are integrated with no
+        further generators, so top bounds the generator degrees."""
         obj = cls(ring, [])
-        obj._extra_rows = dict(rows_by_degree)
-        obj.generator_degree_bound = max(obj._extra_rows, default=0)
+        obj._slices = list(duals)
+        obj.generator_degree_bound = len(obj._slices) - 1
         obj._generators = None
         return obj
 
     @property
     def generators(self):
         """The given generators, or the canonical minimal generators of
-        slices built from complete degrees (computed on first read)."""
+        slices given by `from_duals` (computed on first read)."""
         if self._generators is None:
             self._generators = minimal_generators(self, self.generator_degree_bound)
         return self._generators
 
     def ensure(self, dmax):
-        f = self.ring.field
         while len(self._slices) <= dmax:
-            d = len(self._slices)
-            ncols = len(self.ring.monomial_basis(d))
-            # the blocks _rows stacks are freed before the elimination runs
-            self._slices.append(linalg._reduce_rows(f, self._rows(d, ncols), ncols))
-            self._extra_rows.pop(d, None)  # given rows are not needed again
+            self._slices.append(self._integrate(len(self._slices)))
 
-    def _rows(self, d, ncols):
-        """Rows spanning I_d: the given rows of a complete degree, else the
-        variables times slice(d-1) stacked on the degree-d generators."""
-        if d in self._extra_rows:
-            return self._extra_rows[d]
+    def _integrate(self, d):
+        """Phi_d: Lambda lies in I^perp exactly when each x_k o Lambda =
+        c_k Phi_(d-1) and the degree-d generators kill it.  Such a Lambda
+        exists for c = (c_k) exactly when c_k T_l = c_l T_k for k < l, T_l
+        being x_l o Phi_(d-1) on the pivots of Phi_(d-2) (its coordinates)."""
         f = self.ring.field
-        blocks = []
-        if d > 0 and len(self._slices[d - 1][0]):
-            blocks.append(self._multiply_up(d - 1, self._slices[d - 1][0]))
+        n = self.ring.nvars
+        ncols = len(self.ring.monomial_basis(d))
+        if d == 0:
+            lam = linalg.to_array(f, [[f.one]], 1)
+        else:
+            prev = self._slices[d - 1][0]
+            h = len(prev)
+            if not h:
+                return linalg.zeros(f, (0, ncols)), []
+            pairs = list(combinations(range(n), 2)) if d > 1 else []
+            piv2 = self._slices[d - 2][1] if pairs else []
+            # T[l] = x_l o prev in the coordinates of Phi_(d-2), transposed
+            T = [prev[:, cols].T for cols in shift_table(n, max(d - 2, 0))[:, piv2]]
+            cons = linalg.zeros(f, (len(pairs), len(piv2), n, h))
+            for p, (k, l) in enumerate(pairs):
+                cons[p, :, k], cons[p, :, l] = T[l], linalg.neg(f, T[k])
+            c = linalg.kernel_rows(f, cons.reshape(len(pairs) * len(piv2), n * h), n * h)
+            # every variable dividing a monomial gives it the same coefficient
+            lam = linalg.zeros(f, (len(c), ncols))
+            up = shift_table(n, d - 1)
+            for k in range(n):
+                lam[:, up[k]] = linalg.matmul(f, c[:, k * h:(k + 1) * h], prev)
         gens = self._gens_by_degree.get(d)
         if gens:
-            blocks.append(linalg.to_array(
-                f, [g.coefficient_vector(d) for g in gens], ncols
-            ))
-        if len(blocks) > 1:
-            return np.concatenate(blocks)
-        return blocks[0] if blocks else linalg.zeros(f, (0, ncols))
+            g = linalg.to_array(f, [g.coefficient_vector(d) for g in gens], ncols)
+            kill = linalg.kernel_rows(f, linalg.matmul(f, g, lam.T), len(lam))
+            lam = linalg.matmul(f, kill, lam)
+        return linalg._reduce_rows(f, lam, ncols)
 
     def _multiply_up(self, d, rows):
         """Vectors of x_k * (degree-d rows) inside degree d+1, one per row
@@ -116,43 +126,61 @@ class IdealSlices:
         out[:, targets] = rows[:, None, :]
         return out.reshape(len(rows) * n, ncols_up)
 
-    def slice(self, d):
+    def dual(self, d):
+        """Canonical echelon form (rows, pivots) of (I^perp)_d."""
         self.ensure(d)
         return self._slices[d]
 
-    def dim(self, d):
-        return len(self.slice(d)[0])
+    def _normal_forms(self, d):
+        """(Q, E_d): the quotient monomials of degree d, ascending, and the
+        matrix whose column c is the normal form of the c-th monomial over
+        them; E_d is the echelon form of Phi_d with its columns reversed."""
+        if d not in self._normal:
+            phi = self.dual(d)[0]
+            ncols = phi.shape[1]
+            red, piv = linalg._reduce_rows(self.ring.field, phi[:, ::-1], ncols)
+            self._normal[d] = ([ncols - 1 - c for c in reversed(piv)], red[::-1, ::-1])
+        return self._normal[d]
+
+    def slice(self, d):
+        """Canonical reduced echelon form (rows, pivots) of I_d: the row
+        pivoted at a monomial is that monomial minus its normal form."""
+        f = self.ring.field
+        q, nf = self._normal_forms(d)
+        piv = np.ones(nf.shape[1], dtype=bool)
+        piv[q] = False
+        piv = np.flatnonzero(piv)
+        rows = linalg.zeros(f, (len(piv), nf.shape[1]))
+        rows[np.arange(len(piv)), piv] = f.one
+        rows[:, q] = linalg.neg(f, nf[:, piv].T)
+        return rows, piv.tolist()
 
     def codim(self, d):
-        return len(self.ring.monomial_basis(d)) - self.dim(d)
+        return len(self.dual(d)[0])
+
+    def dim(self, d):
+        return len(self.ring.monomial_basis(d)) - self.codim(d)
 
     def quotient_monomials(self, d):
-        """Indices of the monomials spanning (Q/I)_d (non-pivot columns)."""
-        _, piv = self.slice(d)
-        pivset = set(piv)
-        return [i for i in range(len(self.ring.monomial_basis(d))) if i not in pivset]
+        """Indices of the monomials spanning (Q/I)_d."""
+        return self._normal_forms(d)[0]
 
     def reduce(self, d, vec):
-        """Normal form of vec (or of each row of a 2-D vec) modulo I_d."""
-        red, piv = self.slice(d)
-        return linalg.reduce_vector(self.ring.field, red, piv, vec)
+        """Normal form of vec (or of each row of a 2-D vec) modulo I_d, over
+        all degree-d monomials (zero off the quotient monomials)."""
+        f = self.ring.field
+        q, nf = self._normal_forms(d)
+        v = np.array(vec, dtype=nf.dtype)
+        out = linalg.zeros(f, v.shape)
+        out[..., q] = linalg.matmul(f, v, nf.T)
+        return out
 
     def multiplication(self, k, d):
         """Multiplication by x_k from (Q/I)_d to (Q/I)_(d+1), over the
-        quotient monomial bases: row i is the image of the i-th quotient
-        monomial m of degree d.
-
-        The normal form of x_k*m is read off the echelon slice: minus the
-        row pivoted at x_k*m (whose other entries all sit on quotient
-        monomials), or x_k*m itself when it is a quotient monomial.
-        """
-        f = self.ring.field
-        rows, piv = self.slice(d + 1)
-        up_q = self.quotient_monomials(d + 1)
-        normal = linalg.zeros(f, (len(self.ring.monomial_basis(d + 1)), len(up_q)))
-        normal[piv] = linalg.neg(f, rows[:, up_q])
-        normal[up_q, np.arange(len(up_q))] = f.one
-        return normal[shift_table(self.ring.nvars, d)[k, self.quotient_monomials(d)]]
+        quotient monomial bases: row i is the normal form of x_k times the
+        i-th quotient monomial of degree d."""
+        up = shift_table(self.ring.nvars, d)[k, self.quotient_monomials(d)]
+        return self._normal_forms(d + 1)[1][:, up].T
 
     def socle(self, d):
         """Basis of the degree-d elements of Q/I killed by every variable,
@@ -191,8 +219,8 @@ def minimal_generators(slices, dmax):
     """
     ring = slices.ring
     gens = []
+    prev_rows = slices.slice(0)[0]
     for d in range(1, dmax + 1):
-        prev_rows, _ = slices.slice(d - 1)
         up_pivots = set()
         if len(prev_rows):
             up = slices._multiply_up(d - 1, prev_rows)
@@ -205,6 +233,7 @@ def minimal_generators(slices, dmax):
             for row, c in zip(rows.tolist(), piv)
             if c not in up_pivots
         )
+        prev_rows = rows
     return gens
 
 

@@ -107,7 +107,6 @@ def _grevlex_basis(n, d):
     return tuple(exps)
 
 
-
 @lru_cache(maxsize=None)
 def shift_table(n, d):
     """Multiplication by each variable on the degree-d monomials of n
@@ -119,6 +118,21 @@ def shift_table(n, d):
         [[up[e[:k] + (e[k] + 1,) + e[k + 1:]] for e in basis] for k in range(n)],
         dtype=np.intp,
     ).reshape(n, len(basis))
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
+def product_table(n, i, j):
+    """Products of monomials in n variables: entry [r, c] is the index in
+    the degree-(i+j) basis of the r-th degree-i monomial times the c-th
+    degree-j monomial.  Read-only; shared by every ring."""
+    # the variables of each degree-i monomial, with multiplicity
+    factors = [[k for k, e in enumerate(m) for _ in range(e)]
+               for m in _grevlex_basis(n, i)]
+    table = np.tile(np.arange(len(_grevlex_basis(n, j))), (len(factors), 1))
+    for t in range(i):
+        table = shift_table(n, j + t)[[[f[t]] for f in factors], table]
     table.flags.writeable = False
     return table
 

@@ -22,6 +22,7 @@ from gorensum.fields import GF, QQ
 from gorensum.ideals import Algebra, IdealSlices, minimal_generators
 from gorensum.oracle import socle_basis, tor_betti
 from gorensum.poly import Poly, Ring, parse_poly
+from test_ideals import MultiplyUpSlices
 
 
 def test_contraction_is_divided_power_free():
@@ -263,7 +264,7 @@ def multiply_up_build(F):
         ]
         built[d] = linalg.to_array(f, up + raw, ncols)
         prev = linalg._reduce_rows(f, built[d], ncols)[0].tolist()
-    return IdealSlices.from_degree_rows(ring, built)
+    return MultiplyUpSlices(ring, complete=built)
 
 
 @pytest.mark.parametrize("field", [GF(7), GF(32003), QQ], ids=str)
@@ -300,3 +301,17 @@ def test_annihilator_is_derived_once(monkeypatch, field):
     assert A.hilbert_function() == hilbert_from_catalecticants(F) == expected[0]
     assert tor_betti(A) == expected[1]
     assert socle_basis(A) == expected[2]
+
+
+def test_annihilator_slices_build_no_identity_block(monkeypatch):
+    # past the socle degree the inverse system is 0, so no N x N identity
+    # is allocated for degree d+1 (5005 x 5005 for 7 variables at d = 8)
+    def refuse(field, n):
+        raise AssertionError("identity block built")
+
+    monkeypatch.setattr(linalg, "identity", refuse)
+    ring = Ring(["x", "y", "z"], QQ)
+    F = DualGenerator(parse_poly(ring, "x^2*y^3*z^3 + x*y*z^6"))
+    ann = annihilator_slices(F)
+    assert ann.codim(F.d + 1) == ann.codim(F.d + 2) == 0
+    assert Algebra.from_slices(ann).hilbert_function() == hilbert_from_catalecticants(F)

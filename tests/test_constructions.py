@@ -1,9 +1,11 @@
 """Fiber products and connected sums: presentations, Hilbert functions,
 route agreement, iterated folding, and the general-base variant."""
 
+from collections import Counter
+
 import pytest
 
-from gorensum import constructions, linalg
+from gorensum import apolarity, constructions, linalg
 from gorensum.apolarity import DualGenerator, annihilator_slices
 from gorensum.constructions import (
     Factor,
@@ -147,6 +149,9 @@ def test_hilbert_closed_form_rejects_inconsistent():
         hilbert_closed_form("connected_sum", [(1, 1), (1, 1)], socle_degree=3)
     with pytest.raises(ValueError):
         hilbert_closed_form("bogus", [(1, 1), (1, 1)])
+    # HF_T longer than the factors: a typed refusal, not an IndexError
+    with pytest.raises(ValueError, match="inconsistent"):
+        hilbert_closed_form("fiber_product", [(1,), (1,)], t_hf=(1, 1, 1))
 
 
 def test_connected_sum_t():
@@ -158,6 +163,25 @@ def test_connected_sum_t():
     assert cs.hilbert == (1, 2, 2, 1)
     assert T.hilbert_function() == (1, 1)
     assert sorted(str(g) for g in cs.presentation.generators) == ["x^2", "y^3"]
+
+
+def test_connected_sum_t_builds_each_annihilator_once(monkeypatch):
+    ring = Ring(["x", "y"], QQ)
+    F = DualGenerator(parse_poly(ring, "x^3 + x*y^2"))
+    G = DualGenerator(parse_poly(ring, "x^3"))
+    tau = parse_poly(ring, "x^2")
+    calls = Counter()
+    real = apolarity.annihilator_slices
+
+    def counted(D):
+        calls[str(D.F)] += 1
+        return real(D)
+
+    monkeypatch.setattr(apolarity, "annihilator_slices", counted)
+    monkeypatch.setattr(constructions, "annihilator_slices", counted)
+    connected_sum_T(F, G, tau)
+    tF = apolarity.contract(tau, F.F)
+    assert [calls[str(D)] for D in (F.F, G.F, tF)] == [1, 1, 1]
 
 
 def test_connected_sum_t_rejects_dependent_factors():
