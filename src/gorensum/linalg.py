@@ -6,12 +6,13 @@ form is the pair (rows, pivot columns), with rows a (rank, ncols) array and
 pivots a list of ints; functions here accept an array or a list of rows.
 Two engines sit behind one interface: a vectorized numpy engine for prime
 fields and a Fraction engine for the rationals.  The prime engine reduces
-lazily in int64: with k = min(rows, cols) pivots no entry exceeds
-k*(p-1)^2 + p, so it refuses (ValueError) any shape and prime for which that
-bound reaches 2^63 instead of returning a wrong answer; every other int64
-product here is bounded the same way.  Everything is deterministic: pivots
-are always the first nonzero entry scanning left to right, top to bottom, so
-identical inputs give bit-identical echelon forms.
+every entry into 0..p-1 after each step, so no int64 intermediate exceeds
+(p-1)^2 + p - 1, which the cap on GF keeps below 2^63: every shape is exact
+for every prime GF accepts.  `matmul` sums k products and refuses
+(ValueError) an inner dimension k at which that sum could reach 2^63.
+Everything is deterministic: pivots are always the first nonzero entry
+scanning left to right, top to bottom, so identical inputs give
+bit-identical echelon forms.
 """
 
 from fractions import Fraction
@@ -71,44 +72,36 @@ def matmul(field, a, b):
 
 
 def _rref_prime(p, rows, ncols, rank_only=False):
-    # Lazy modular reduction: the pivot row is normalized mod p, so one
-    # elimination step grows an entry by at most (p-1)^2, and there are at
-    # most min(rows, cols) steps; columns are reduced only when read.
+    # Every entry stays in 0..p-1, so no intermediate exceeds (p-1)^2 + p - 1.
+    # m[:free] holds the unused rows, zero left of column c; each pivot row
+    # retires to m[free - 1], so m[free:] is the echelon form upside down.
     nrows = len(rows)
     if not nrows or ncols == 0:
         return np.zeros((0, ncols), dtype=np.int64), []
-    if min(nrows, ncols) * (p - 1) ** 2 + p >= 2**63:
-        raise ValueError(
-            f"GF({p}): a {nrows}x{ncols} elimination could overflow int64"
-        )
-    m = np.array(rows, dtype=np.int64)
+    m = np.array(rows, dtype=np.int64).reshape(nrows, ncols)
     m %= p
     pivots = []
-    r = 0
+    free = nrows
     for c in range(ncols):
-        if r == nrows:
-            break
-        below = m[r:, c] % p
-        nz = np.nonzero(below)[0]
-        if nz.size == 0:
+        # rank_only clears the free rows only, a full RREF every row
+        nz = (m[:free, c] if rank_only else m[:, c]).nonzero()[0]
+        if not nz.size or nz[0] >= free:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        m[r] %= p
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = (m[r] * inv) % p
-        col = m[:, c] % p
-        col[r] = 0
-        if rank_only:
-            # only rows below the pivot matter for rank
-            col[:r] = 0
-        touched = np.nonzero(col)[0]
-        if touched.size:
-            m[touched] -= np.outer(col[touched], m[r])
+        k = nz[0]
+        prow = m[k, c:] * pow(int(m[k, c]), -1, p) % p
+        hit = nz[1:]
+        if hit.size:
+            blk = m[hit, c:]
+            blk -= blk[:, :1] * prow
+            blk %= p
+            m[hit, c:] = blk
         pivots.append(c)
-        r += 1
-    return m[:r] % p, pivots
+        free -= 1
+        m[k] = m[free]
+        m[free, c:] = prow
+        if not free:
+            break
+    return np.ascontiguousarray(m[free:][::-1]), pivots
 
 
 def _rref_rational(rows, ncols, rank_only=False):

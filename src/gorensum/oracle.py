@@ -7,7 +7,10 @@ needed, the complex is finite and explicit for Artinian quotients, and no
 Groebner machinery is involved.
 """
 
+import functools
 import itertools
+
+import numpy as np
 
 from . import linalg
 from .betti import BettiTable, binom
@@ -26,7 +29,7 @@ def hilbert_function(algebra: Algebra):
 
 class _QuotientArithmetic:
     """Hilbert function hf of A = Q/I over the scanned degrees and its
-    multiplication maps by each variable, cached per (variable, degree)."""
+    multiplication maps by the variables, cached per degree."""
 
     def __init__(self, algebra, hf):
         self.algebra = algebra
@@ -38,13 +41,30 @@ class _QuotientArithmetic:
     def dim(self, d):
         return self.hf[d] if 0 <= d < len(self.hf) else 0
 
-    def mult_columns(self, k, d):
-        """Multiplication by x_k from A_d to A_(d+1), one row per basis
-        element of A_d (IdealSlices.multiplication)."""
-        key = (k, d)
-        if key not in self._mult:
-            self._mult[key] = self.algebra.slices.multiplication(k, d)
-        return self._mult[key]
+    def mult_blocks(self, d):
+        """[M, -M] with M[k] the multiplication by x_k from A_d to A_(d+1),
+        one column per basis element of A_d (IdealSlices.multiplication)."""
+        if d not in self._mult:
+            m = np.stack([self.algebra.slices.multiplication(k, d).T
+                          for k in range(self.ring.nvars)])
+            self._mult[d] = np.stack([m, linalg.neg(self.field, m)])
+        return self._mult[d]
+
+
+@functools.lru_cache(maxsize=None)
+def _koszul_pattern(n, i):
+    """The numbers of target and source subsets of d_i on Lambda^i K^n, and
+    one (target subset, source subset, variable, position parity) per block,
+    subsets indexed in sorted order."""
+    cod_pos = {s: t for t, s in enumerate(itertools.combinations(range(n), i - 1))}
+    blocks = [
+        (cod_pos[s[:pos] + s[pos + 1 :]], sp, k, pos % 2)
+        for sp, s in enumerate(itertools.combinations(range(n), i))
+        for pos, k in enumerate(s)
+    ]
+    pattern = np.array(blocks, dtype=np.intp).reshape(-1, 4).T
+    pattern.flags.writeable = False  # the cache hands it to every caller
+    return len(cod_pos), binom(n, i), pattern
 
 
 def _koszul_differential(qa, i, j):
@@ -53,27 +73,13 @@ def _koszul_differential(qa, i, j):
     Bases: sorted index subsets paired with the quotient basis of A in the
     complementary internal degree; signs by position parity.
     """
-    n = qa.ring.nvars
-    f = qa.field
-    dom_sets = list(itertools.combinations(range(n), i))
-    cod_sets = list(itertools.combinations(range(n), i - 1))
-    cod_pos = {s: p for p, s in enumerate(cod_sets)}
-    dom_a = qa.dim(j - i)
-    cod_a = qa.dim(j - i + 1)
-    nrows = len(cod_sets) * cod_a
-    ncols = len(dom_sets) * dom_a
-    rows = linalg.zeros(f, (nrows, ncols))
-    if nrows == 0 or ncols == 0:
-        return rows, nrows, ncols
-    for sp, s in enumerate(dom_sets):
-        for pos, k in enumerate(s):
-            # each (source subset, target subset) pair is one block
-            block = cod_pos[s[:pos] + s[pos + 1 :]] * cod_a
-            m = qa.mult_columns(k, j - i).T
-            rows[block : block + cod_a, sp * dom_a : (sp + 1) * dom_a] = (
-                linalg.neg(f, m) if pos % 2 else m
-            )
-    return rows, nrows, ncols
+    ncod, ndom, (tgt, src, var, odd) = _koszul_pattern(qa.ring.nvars, i)
+    dom_a, cod_a = qa.dim(j - i), qa.dim(j - i + 1)
+    nrows, ncols = ncod * cod_a, ndom * dom_a
+    rows = linalg.zeros(qa.field, (ncod, cod_a, ndom, dom_a))
+    if nrows and ncols:
+        rows[tgt, :, src, :] = qa.mult_blocks(j - i)[odd, var]
+    return rows.reshape(nrows, ncols), nrows, ncols
 
 
 def tor_betti(algebra: Algebra, max_vars=8, max_dim=2000, check_d2=False,
@@ -127,7 +133,7 @@ def tor_betti(algebra: Algebra, max_vars=8, max_dim=2000, check_d2=False,
 
     for i in range(n + 1):
         for j in range(i, jmax(i) + 1):
-            dim_ij = len(list(itertools.combinations(range(n), i))) * qa.dim(j - i)
+            dim_ij = binom(n, i) * qa.dim(j - i)
             if dim_ij == 0:
                 continue
             b = dim_ij - drank(i, j) - drank(i + 1, j)

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -202,21 +203,33 @@ def rank_six_product(p, seed):
     ]
 
 
-def test_prime_engine_refuses_shapes_that_could_overflow():
-    # 12 lazy elimination steps over GF(2^31 - 1) can pass 2^63
+# the largest prime GF accepts: (p-1)^2 + p < 2^63, and the next prime fails it
+LARGEST_PRIME = 3037000493
+
+
+def test_prime_engine_is_exact_for_every_accepted_prime():
+    # entries are reduced after every step, so over GF(2^31 - 1) a 12x12
+    # elimination is as exact as a single row
     p = 2147483647
     F = GF(p)
     for seed in range(5):
         rows = rank_six_product(p, seed)
-        with pytest.raises(ValueError, match="overflow"):
-            linalg.rank(mat(F, rows))
-    # a single row never overflows, so small shapes still work
+        assert linalg.rank(mat(F, rows)) == rank_mod_p(rows, p) == 6
     assert linalg.rank(mat(F, [[p - 1, 2, 3]])) == 1
+    top = GF(LARGEST_PRIME)
+    for seed in range(3):
+        rows = rank_six_product(LARGEST_PRIME, seed)
+        red, piv = linalg._reduce_rows(top, rows, 12)
+        ref_rows, ref_piv = rref_reference(top, rows, 12)
+        assert piv == ref_piv and len(piv) == 6
+        assert red.tolist() == ref_rows
 
 
 def test_gf_refuses_primes_too_large_for_int64():
     with pytest.raises(ValueError, match="too large"):
         GF(2**61 - 1)
+    with pytest.raises(ValueError, match="too large"):
+        GF(3037000507)
 
 
 def test_prime_engine_rank_matches_reference():
@@ -273,6 +286,45 @@ def test_array_engine_matches_reference_rref(shaped):
         assert red.tolist() == ref_rows
         _, rank_piv = linalg._reduce_rows(field, entries, ncols, rank_only=True)
         assert rank_piv == ref_piv
+
+
+def koszul_like_matrix(rng, p, nrows, ncols, density):
+    """Sparse entries in 0..p-1, with all-zero rows and columns and repeated
+    rows."""
+    rows = [
+        [rng.randrange(1, p) if rng.random() < density else 0 for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+    for c in rng.sample(range(ncols), ncols // 5):
+        for r in rows:
+            r[c] = 0
+    for i in rng.sample(range(nrows), nrows // 5):
+        rows[i] = [0] * ncols
+    for i in rng.sample(range(nrows), nrows // 4):
+        rows[i] = list(rows[rng.randrange(nrows)])
+    return rows
+
+
+def test_prime_engine_matches_reference_at_koszul_shapes():
+    rng = random.Random(17)
+    shapes = [(40, 60, 0.03), (40, 60, 0.3), (60, 40, 0.1), (12, 60, 0.1),
+              (60, 12, 0.3), (30, 30, 0.1), (1, 60, 0.3), (60, 1, 0.3)] * 2
+    for p in (2, 7, 32003, 2147483647):
+        F = GF(p)
+        for nrows, ncols, density in shapes:
+            rows = koszul_like_matrix(rng, p, nrows, ncols, density)
+            # other representatives, zeros included, are reduced on the way in
+            given_rows = [[x + p * rng.choice((-1, 0, 0, 2)) for x in r] for r in rows]
+            red, piv = linalg._reduce_rows(F, given_rows, ncols)
+            ref_rows, ref_piv = rref_reference(F, rows, ncols)
+            assert piv == ref_piv
+            assert red.tolist() == ref_rows
+            echelon, rank_piv = linalg._reduce_rows(F, given_rows, ncols, rank_only=True)
+            assert rank_piv == ref_piv
+            for out in (red, echelon):
+                assert out.shape == (len(ref_piv), ncols)
+                assert out.dtype == np.int64 and out.flags.c_contiguous
+                assert ((out >= 0) & (out < p)).all()
 
 
 def reference_slice(ring, gens, d):
