@@ -13,7 +13,7 @@ import numpy as np
 
 from . import linalg
 # minimal_generators is unused here; perfbench/test_perfbench.py reads it
-from .ideals import Algebra, IdealSlices, minimal_generators  # noqa: F401
+from .ideals import Algebra, IdealSlices, canonical, minimal_generators  # noqa: F401
 from .linalg import Matrix
 from .poly import Poly, product_table
 
@@ -65,7 +65,7 @@ def annihilator_slices(F: DualGenerator) -> IdealSlices:
     contractions of F by the monomials of degree d-i, the columns of that
     catalecticant, and is 0 past the socle degree d."""
     fld, basis = F.ring.field, F.ring.monomial_basis
-    duals = [linalg._reduce_rows(fld, catalecticant(F, F.d - i).rows.T, len(basis(i)))
+    duals = [canonical(fld, catalecticant(F, F.d - i).rows.T, len(basis(i)))
              for i in range(F.d + 1)]
     duals.append((linalg.zeros(fld, (0, len(basis(F.d + 1)))), []))
     return IdealSlices.from_duals(F.ring, duals)
@@ -134,8 +134,8 @@ def check_cs_conditions(F: DualGenerator, G: DualGenerator, tau: Poly) -> CsRepo
 
 def _cs_conditions(F, G, tau, ann_f, ann_g):
     """check_cs_conditions on the slices of Ann(F) and Ann(G): (report, the
-    slices of Ann(tau o F) if built, else None, the echelon forms of
-    Phi_F + Phi_G = (Ann F & Ann G)^perp in degrees 0..d+1)."""
+    slices of Ann(tau o F) if built, else None, the canonical forms of
+    (Ann F)^perp + (Ann G)^perp = (Ann F & Ann G)^perp in degrees 0..d+1)."""
     if F.ring != G.ring or tau.ring != F.ring:
         raise ValueError("F, G and tau must live in one ring")
     if F.d != G.d:
@@ -145,7 +145,7 @@ def _cs_conditions(F, G, tau, ann_f, ann_g):
 
     fld, basis = F.ring.field, F.ring.monomial_basis
     stacks = [np.concatenate([ann_f.dual(i)[0], ann_g.dual(i)[0]]) for i in range(F.d + 2)]
-    sums = [linalg._reduce_rows(fld, s, len(basis(i))) for i, s in enumerate(stacks)]
+    sums = [canonical(fld, s, len(basis(i))) for i, s in enumerate(stacks)]
     tF, tG = contract(tau, F.F), contract(tau, G.F)
     cond_a = (not tF.is_zero()) and tF == tG
     if tau.degree() == 0:

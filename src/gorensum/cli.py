@@ -32,7 +32,8 @@ class UsageError(Exception):
 def _parse_field(spec):
     if spec == "QQ":
         return QQ
-    if isinstance(spec, dict) and set(spec) == {"prime"}:
+    # bool is an int subclass, and a float would be truncated by GF
+    if isinstance(spec, dict) and set(spec) == {"prime"} and type(spec["prime"]) is int:
         return GF(spec["prime"])
     if isinstance(spec, str) and spec.isdigit():
         return GF(int(spec))
@@ -59,10 +60,16 @@ def parse_algebra_file(path, field_override=None, degree_cap=DEFAULT_DEGREE_CAP)
         raise UsageError(f"{path}: give either \"ideal\" or \"dual_generator\", not both")
     if "ideal" not in data and "dual_generator" not in data:
         raise UsageError(f"{path}: missing \"ideal\" or \"dual_generator\"")
-    field = field_override or _parse_field(data["field"])
+    for key in ("variables", "ideal"):
+        value = data.get(key, [])
+        if not (isinstance(value, list) and all(isinstance(s, str) for s in value)):
+            raise UsageError(f"{path}: {key!r} must be a list of strings")
+    if not isinstance(data.get("dual_generator", ""), str):
+        raise UsageError(f"{path}: 'dual_generator' must be a string")
     try:
+        field = field_override or _parse_field(data["field"])
         ring = Ring(data["variables"], field)
-    except ValueError as err:
+    except (UsageError, ValueError) as err:
         raise UsageError(f"{path}: {err}")
     try:
         if "dual_generator" in data:

@@ -130,7 +130,7 @@ def connected_sum_K(factors) -> ConstructionResult:
     dual_gen = DualGenerator(f_big)
     dual_slices = annihilator_slices(dual_gen)
 
-    # both inverse systems are canonical reduced echelon forms, so equal
+    # both inverse systems are in the canonical form (E, Q), so equal
     # ideals give equal (rows, pivots)
     for deg in range(d + 2):
         if not linalg.echelon_equal(pres.slices.dual(deg), dual_slices.dual(deg)):
@@ -177,7 +177,7 @@ def connected_sum_T(F: DualGenerator, G: DualGenerator, tau: Poly):
         raise ValueError(f"connected sum condition {which} fails{detail}")
 
     d = F.d
-    # (Ann F & Ann G)^perp = Phi_F + Phi_G
+    # (Ann F & Ann G)^perp = (Ann F)^perp + (Ann G)^perp
     fp_algebra = Algebra.from_slices(IdealSlices.from_duals(F.ring, sums))
     cs_algebra = annihilator(DualGenerator(F.F - G.F))
     t_dual = contract(tau, F.F)

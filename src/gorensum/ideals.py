@@ -3,19 +3,17 @@
 Every ideal in scope cuts out an Artinian or 1-dimensional quotient, so a
 finite list of graded slices suffices; no Groebner machinery is needed.
 Slice d is the inverse system (I^perp)_d = {Lambda in Q'_d : g o Lambda = 0
-for g in I_d} under contraction, kept as its canonical reduced echelon form
-Phi_d (rows, pivots): h_d = dim (Q/I)_d rows over the N_d degree-d monomials,
-a 2-D numpy array as in `linalg`.  Equal ideals have equal slices.
+for g in I_d} under contraction, stored in the one canonical form (E_d, Q_d)
+of `canonical`: h_d = dim (Q/I)_d rows over the N_d degree-d monomials, a
+2-D numpy array as in `linalg`.  Equal ideals have equal slices.  The pivots
+Q_d are the quotient monomials and column c of E_d is the normal form of the
+c-th monomial over them, which multiplication, socles, reduction, membership
+and the echelon form of I_d all read, at O(N_d h_d^2) per degree.
 
-An IdealSlices is built from generators, integrating Phi_d from Phi_(d-1)
+An IdealSlices is built from generators, integrating E_d from E_(d-1)
 (Mourrain's integration method), or from slices given in degrees 0..top
 (`from_duals`, e.g. the contractions of a dual generator); its `generators`
 are then the canonical minimal generators, read off on first use.
-The readers cost O(N_d h_d^2): the quotient monomials Q (the non-pivots of
-the echelon form of I_d) are the columns of Phi_d independent scanning right
-to left, and the normal form of the c-th monomial over them is column c of
-E_d = Phi_d[:, Q]^-1 Phi_d, which multiplication, socles, reduction,
-membership and the echelon form of I_d itself all read.
 """
 
 from itertools import combinations
@@ -24,7 +22,7 @@ from math import comb
 import numpy as np
 
 from . import linalg
-from .poly import Poly, shift_table
+from .poly import Poly, first_variable_table, shift_table
 
 
 class NotArtinianError(Exception):
@@ -36,6 +34,14 @@ class InternalCheckError(Exception):
 
 
 DEFAULT_DEGREE_CAP = 64
+
+
+def canonical(field, rows, ncols):
+    """(E, Q): the reduced echelon form of the span of rows, scanning its
+    columns right to left: Q lists the pivots ascending, E[:, Q] is the
+    identity and each row of E is zero right of its pivot."""
+    red, piv = linalg._reduce_rows(field, rows[:, ::-1], ncols)
+    return np.ascontiguousarray(red[::-1, ::-1]), [ncols - 1 - c for c in reversed(piv)]
 
 
 class IdealSlices:
@@ -52,13 +58,12 @@ class IdealSlices:
             self._gens_by_degree.setdefault(g.degree(), []).append(g)
         # no minimal generator lies past this degree
         self.generator_degree_bound = max(self._gens_by_degree, default=0)
-        # per degree: canonical echelon form (rows, pivots) of (I^perp)_d
+        # per degree: the canonical form (E_d, Q_d) of (I^perp)_d
         self._slices = []
-        self._normal = {}  # per degree: (quotient monomials, E_d)
 
     @classmethod
     def from_duals(cls, ring, duals):
-        """Slices given as the canonical echelon forms of (I^perp)_d for
+        """Slices given as the canonical forms (E_d, Q_d) of (I^perp)_d for
         d = 0..top, each complete; past top they are integrated with no
         further generators, so top bounds the generator degrees."""
         obj = cls(ring, [])
@@ -80,10 +85,11 @@ class IdealSlices:
             self._slices.append(self._integrate(len(self._slices)))
 
     def _integrate(self, d):
-        """Phi_d: Lambda lies in I^perp exactly when each x_k o Lambda =
-        c_k Phi_(d-1) and the degree-d generators kill it.  Such a Lambda
+        """(E_d, Q_d): Lambda lies in I^perp exactly when each x_k o Lambda =
+        c_k E_(d-1) and the degree-d generators kill it.  Such a Lambda
         exists for c = (c_k) exactly when c_k T_l = c_l T_k for k < l, T_l
-        being x_l o Phi_(d-1) on the pivots of Phi_(d-2) (its coordinates)."""
+        being x_l o E_(d-1) on Q_(d-2), the multiplication by x_l from
+        A_(d-2) to A_(d-1) transposed."""
         f = self.ring.field
         n = self.ring.nvars
         ncols = len(self.ring.monomial_basis(d))
@@ -95,24 +101,22 @@ class IdealSlices:
             if not h:
                 return linalg.zeros(f, (0, ncols)), []
             pairs = list(combinations(range(n), 2)) if d > 1 else []
-            piv2 = self._slices[d - 2][1] if pairs else []
-            # T[l] = x_l o prev in the coordinates of Phi_(d-2), transposed
-            T = [prev[:, cols].T for cols in shift_table(n, max(d - 2, 0))[:, piv2]]
-            cons = linalg.zeros(f, (len(pairs), len(piv2), n, h))
+            T = [self.multiplication(l, d - 2) for l in range(n)] if pairs else []
+            h2 = self.codim(d - 2) if pairs else 0
+            cons = linalg.zeros(f, (len(pairs), h2, n, h))
             for p, (k, l) in enumerate(pairs):
                 cons[p, :, k], cons[p, :, l] = T[l], linalg.neg(f, T[k])
-            c = linalg.kernel_rows(f, cons.reshape(len(pairs) * len(piv2), n * h), n * h)
-            # every variable dividing a monomial gives it the same coefficient
+            c = linalg.kernel_rows(f, cons.reshape(len(pairs) * h2, n * h), n * h)
+            # each monomial is filled once, from its first variable (all agree)
             lam = linalg.zeros(f, (len(c), ncols))
-            up = shift_table(n, d - 1)
-            for k in range(n):
-                lam[:, up[k]] = linalg.matmul(f, c[:, k * h:(k + 1) * h], prev)
+            for k, (src, dst) in enumerate(first_variable_table(n, d - 1)):
+                lam[:, dst] = linalg.matmul(f, c[:, k * h:(k + 1) * h], prev[:, src])
         gens = self._gens_by_degree.get(d)
         if gens:
             g = linalg.to_array(f, [g.coefficient_vector(d) for g in gens], ncols)
             kill = linalg.kernel_rows(f, linalg.matmul(f, g, lam.T), len(lam))
             lam = linalg.matmul(f, kill, lam)
-        return linalg._reduce_rows(f, lam, ncols)
+        return canonical(f, lam, ncols)
 
     def _multiply_up(self, d, rows):
         """Vectors of x_k * (degree-d rows) inside degree d+1, one per row
@@ -127,26 +131,15 @@ class IdealSlices:
         return out.reshape(len(rows) * n, ncols_up)
 
     def dual(self, d):
-        """Canonical echelon form (rows, pivots) of (I^perp)_d."""
+        """Canonical form (E_d, Q_d) of (I^perp)_d (see `canonical`)."""
         self.ensure(d)
         return self._slices[d]
-
-    def _normal_forms(self, d):
-        """(Q, E_d): the quotient monomials of degree d, ascending, and the
-        matrix whose column c is the normal form of the c-th monomial over
-        them; E_d is the echelon form of Phi_d with its columns reversed."""
-        if d not in self._normal:
-            phi = self.dual(d)[0]
-            ncols = phi.shape[1]
-            red, piv = linalg._reduce_rows(self.ring.field, phi[:, ::-1], ncols)
-            self._normal[d] = ([ncols - 1 - c for c in reversed(piv)], red[::-1, ::-1])
-        return self._normal[d]
 
     def slice(self, d):
         """Canonical reduced echelon form (rows, pivots) of I_d: the row
         pivoted at a monomial is that monomial minus its normal form."""
         f = self.ring.field
-        q, nf = self._normal_forms(d)
+        nf, q = self.dual(d)
         piv = np.ones(nf.shape[1], dtype=bool)
         piv[q] = False
         piv = np.flatnonzero(piv)
@@ -163,13 +156,13 @@ class IdealSlices:
 
     def quotient_monomials(self, d):
         """Indices of the monomials spanning (Q/I)_d."""
-        return self._normal_forms(d)[0]
+        return self.dual(d)[1]
 
     def reduce(self, d, vec):
         """Normal form of vec (or of each row of a 2-D vec) modulo I_d, over
         all degree-d monomials (zero off the quotient monomials)."""
         f = self.ring.field
-        q, nf = self._normal_forms(d)
+        nf, q = self.dual(d)
         v = np.array(vec, dtype=nf.dtype)
         out = linalg.zeros(f, v.shape)
         out[..., q] = linalg.matmul(f, v, nf.T)
@@ -180,7 +173,7 @@ class IdealSlices:
         quotient monomial bases: row i is the normal form of x_k times the
         i-th quotient monomial of degree d."""
         up = shift_table(self.ring.nvars, d)[k, self.quotient_monomials(d)]
-        return self._normal_forms(d + 1)[1][:, up].T
+        return self.dual(d + 1)[0][:, up].T
 
     def socle(self, d):
         """Basis of the degree-d elements of Q/I killed by every variable,

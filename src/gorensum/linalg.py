@@ -8,8 +8,8 @@ Two engines sit behind one interface: a vectorized numpy engine for prime
 fields and a Fraction engine for the rationals.  The prime engine reduces
 every entry into 0..p-1 after each step, so no int64 intermediate exceeds
 (p-1)^2 + p - 1, which the cap on GF keeps below 2^63: every shape is exact
-for every prime GF accepts.  `matmul` sums k products and refuses
-(ValueError) an inner dimension k at which that sum could reach 2^63.
+for every prime GF accepts.  `matmul` sums k products in int64 while that
+sum stays below 2^63, and in Python integers past it, so it is exact too.
 Everything is deterministic: pivots are always the first nonzero entry
 scanning left to right, top to bottom, so identical inputs give
 bit-identical echelon forms.
@@ -59,16 +59,13 @@ def neg(field, a):
 
 
 def matmul(field, a, b):
-    """a @ b over the field; over GF(p) it refuses (ValueError) an inner
-    dimension at which the int64 sum could overflow."""
+    """a @ b over the field; over GF(p) an inner dimension at which the
+    int64 sum could overflow is multiplied in Python integers instead."""
     if not field.is_prime_field:
         return a @ b
-    p = field.p
-    if a.shape[-1] * (p - 1) ** 2 + p >= 2**63:
-        raise ValueError(
-            f"GF({p}): a product over {a.shape[-1]} terms could overflow int64"
-        )
-    return a @ b % p
+    if a.shape[-1] * (field.p - 1) ** 2 < 2**63:
+        return a @ b % field.p
+    return (a.astype(object) @ b.astype(object) % field.p).astype(np.int64)
 
 
 def _rref_prime(p, rows, ncols, rank_only=False):
@@ -179,9 +176,7 @@ def reduce_vector(field, red_rows, pivots, vec):
     v = np.array(vec, dtype=red_rows.dtype)
     if pivots:
         v = v - matmul(field, v[..., pivots], red_rows)
-        if field.is_prime_field:
-            v %= field.p
-    return v
+    return v % field.p if field.is_prime_field else v
 
 
 def echelon_equal(a, b):

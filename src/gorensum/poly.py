@@ -123,6 +123,18 @@ def shift_table(n, d):
 
 
 @lru_cache(maxsize=None)
+def first_variable_table(n, d):
+    """Per variable x_k, (sources, targets) over the degree-(d+1) monomials
+    whose lowest-index variable is x_k: their quotients by x_k, and them."""
+    out, free = [], np.ones(len(_grevlex_basis(n, d + 1)), dtype=bool)
+    for row in shift_table(n, d):
+        src = np.flatnonzero(free[row])
+        out.append((src, row[src]))
+        free[row] = False
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def product_table(n, i, j):
     """Products of monomials in n variables: entry [r, c] is the index in
     the degree-(i+j) basis of the r-th degree-i monomial times the c-th

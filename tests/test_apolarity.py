@@ -315,3 +315,29 @@ def test_annihilator_slices_build_no_identity_block(monkeypatch):
     ann = annihilator_slices(F)
     assert ann.codim(F.d + 1) == ann.codim(F.d + 2) == 0
     assert Algebra.from_slices(ann).hilbert_function() == hilbert_from_catalecticants(F)
+
+
+def test_annihilator_readers_run_one_elimination_per_degree(monkeypatch):
+    # each degree of Ann(F) is eliminated once, into the form every reader
+    # uses; a socle then costs one kernel of the maps already read
+    real, calls = linalg._reduce_rows, []
+
+    def counted(field, rows, ncols, rank_only=False):
+        calls.append(ncols)
+        return real(field, rows, ncols, rank_only)
+
+    monkeypatch.setattr(linalg, "_reduce_rows", counted)
+    for field in (GF(32003), QQ):
+        ring = Ring(["x", "y", "z"], field)
+        F = DualGenerator(parse_poly(ring, "x^2*y^3*z^3 + x*y*z^6"))
+        expected = hilbert_from_catalecticants(F)
+        calls.clear()
+        A = annihilator(F)
+        assert A.hilbert_function() == expected
+        for d in range(F.d + 1):
+            for k in range(ring.nvars):
+                A.slices.multiplication(k, d)
+        assert len(calls) == F.d + 1
+        socles = [len(A.slices.socle(d)) for d in range(F.d + 1)]
+        assert socles == [0] * F.d + [1]
+        assert len(calls) == 2 * (F.d + 1)

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gorensum.betti import BettiTable
 from gorensum.cli import differential_suite, main, parse_algebra_file
@@ -216,3 +217,78 @@ def test_internal_check_failure_exits_3(factor_files, capsys, monkeypatch):
     assert err[0].startswith(
         "error: internal check failed: connected sum Hilbert mismatch:"
     )
+
+
+def test_connected_sum_over_the_largest_31_bit_prime(tmp_path, factor_files, capsys):
+    # products over 2^31 - 1 whose int64 sum could overflow are taken in
+    # Python integers: the same answer as over GF(32003), not a refusal
+    path = write(tmp_path, "h.json", {
+        "variables": ["x", "y"], "field": "QQ", "ideal": ["x^3", "x*y", "y^4"],
+    })
+    assert main(["hilbert", path, "--field", "2147483647"]) == 0
+    assert capsys.readouterr().out == "1 2 2 1\n"
+    argv = ["connected-sum", *factor_files, "--method", "both", "--output", "machine"]
+    assert main(argv) == 0
+    expected = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--field", "2147483647"]) == 0
+    assert json.loads(capsys.readouterr().out) == expected
+    assert expected["agree"] is True
+
+
+MALFORMED = [
+    ({"variables": 5, "ideal": ["x^2"]}, "'variables' must be a list of strings"),
+    ({"variables": [["x"]], "ideal": ["x^2"]}, "'variables' must be a list of strings"),
+    ({"variables": "xy", "ideal": ["x^2", "y^2"]}, "'variables' must be a list of strings"),
+    ({"variables": ["x"], "ideal": [5]}, "'ideal' must be a list of strings"),
+    ({"variables": ["x"], "ideal": [None]}, "'ideal' must be a list of strings"),
+    ({"variables": ["x"], "ideal": {"a": 1}}, "'ideal' must be a list of strings"),
+    ({"variables": ["x"], "dual_generator": 5}, "'dual_generator' must be a string"),
+    ({"variables": ["x"], "ideal": ["x^2"], "field": {"prime": [7]}}, "bad field spec"),
+    ({"variables": ["x"], "ideal": ["x^2"], "field": {"prime": 7.5}}, "bad field spec"),
+    ({"variables": ["x"], "ideal": ["x^2"], "field": {"prime": True}}, "bad field spec"),
+    ({"variables": ["x"], "ideal": ["x^2"], "field": {"prime": 6}}, "6 is not prime"),
+]
+
+
+@pytest.mark.parametrize("payload, message", MALFORMED, ids=lambda v: json.dumps(v))
+def test_malformed_input_is_a_usage_error(tmp_path, capsys, payload, message):
+    path = write(tmp_path, "bad.json", {"field": "QQ", **payload})
+    assert main(["hilbert", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
+
+
+NAMES = st.sampled_from(["x", "y", "z", "w", "", "1x"])
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 40), st.floats(0, 9),
+                 st.text("xyz", max_size=3), st.lists(st.integers(0, 3), max_size=2))
+# exponents stay small (at most 4, or 22 in free text) so that no dual
+# generator needs large catalecticants: those are built before any cap applies
+POLY = st.one_of(
+    st.lists(st.tuples(st.sampled_from(["", "-", "+", "2*", "1/2*", "1/0*", "0*"]),
+                       st.lists(st.tuples(NAMES, st.integers(0, 4)), min_size=1, max_size=3)),
+             min_size=1, max_size=3).map(lambda terms: "".join(
+                 sign + "*".join(f"{v}^{e}" for v, e in mono) for sign, mono in terms)),
+    st.text("xyz^*+-/ 012", max_size=4),
+)
+FIELDS = st.sampled_from(["QQ", "7", "x", {"prime": 2}, {"prime": 32003},
+                          {"prime": 2147483647}, {"prime": 7.5}, {"prime": 9}, 7])
+PAYLOADS = st.fixed_dictionaries({
+    "variables": st.one_of(st.lists(NAMES, max_size=3), JUNK),
+    "field": st.one_of(FIELDS, JUNK),
+}, optional={
+    "ideal": st.one_of(st.lists(POLY, max_size=4), JUNK),
+    "dual_generator": st.one_of(POLY, JUNK),
+})
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=st.one_of(PAYLOADS, JUNK),
+       command=st.sampled_from(["hilbert", "annihilator", "betti"]),
+       output=st.sampled_from(["text", "machine"]))
+def test_fuzzed_input_gets_an_exit_code_not_a_traceback(tmp_path, capsys, payload,
+                                                         command, output):
+    path = write(tmp_path, "fuzz.json", payload)
+    code = main([command, path, "--degree-cap", "6", "--output", output])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err

@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gorensum import linalg
 from gorensum.fields import GF, QQ
@@ -11,6 +12,7 @@ from gorensum.ideals import (
     Algebra,
     IdealSlices,
     NotArtinianError,
+    canonical,
     ideal_slices,
     minimal_generators,
 )
@@ -225,3 +227,26 @@ def test_inverse_system_engine_matches_multiply_up(field, kind, seed):
     assert minimal_generators(ideal, top) == minimal_generators(ref, top)
     scan = Algebra(ring, gens, degree_cap=8).hilbert_scan()
     assert scan == Algebra.from_slices(MultiplyUpSlices(ring, gens), degree_cap=8).hilbert_scan()
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=st.sampled_from(FIELDS), seed=st.integers(0, 10**6),
+       rank=st.integers(0, 5), ncols=st.integers(1, 8))
+def test_canonical_form_depends_only_on_the_span(field, seed, rank, ncols):
+    rng = random.Random(seed)
+    draw = (lambda: rng.randrange(field.p)) if field.is_prime_field else (
+        lambda: field.of(rng.randint(-3, 3)))
+    rows = linalg.to_array(field, [[draw() for _ in range(ncols)] for _ in range(rank)], ncols)
+    e, q = canonical(field, rows, ncols)
+    assert len(q) == len(e) == linalg.rank(linalg.Matrix(field, rank, ncols, rows))
+    assert q == sorted(q) and np.array_equal(e[:, q], linalg.identity(field, len(q)))
+    assert all(not row[c + 1:].any() for row, c in zip(e, q))
+    # another spanning set of the same space: combinations of the rows
+    # appended, then every row shuffled
+    mix = linalg.to_array(field, [[draw() for _ in range(rank)] for _ in range(rng.randrange(3))], rank)
+    other = np.concatenate([rows, linalg.matmul(field, mix, rows)]) if rank else rows
+    other = other[rng.sample(range(len(other)), len(other))]
+    assert linalg.echelon_equal(canonical(field, other, ncols), (e, q))
+    # and E spans no more than the rows do
+    stacked = np.concatenate([rows, e])
+    assert linalg.rank(linalg.Matrix(field, len(stacked), ncols, stacked)) == len(q)

@@ -225,6 +225,19 @@ def test_prime_engine_is_exact_for_every_accepted_prime():
         assert red.tolist() == ref_rows
 
 
+def test_matmul_is_exact_for_every_accepted_prime():
+    rng = random.Random(3)
+    for p in (7, 2147483647, LARGEST_PRIME):
+        F = GF(p)
+        for inner in (1, 2, 3, 40):
+            a = [[rng.randrange(p) for _ in range(inner)] for _ in range(4)]
+            b = [[rng.randrange(p) for _ in range(5)] for _ in range(inner)]
+            got = linalg.matmul(F, linalg.to_array(F, a, inner), linalg.to_array(F, b, 5))
+            assert got.dtype == np.int64
+            assert got.tolist() == [[sum(x * y for x, y in zip(r, col)) % p
+                                     for col in zip(*b)] for r in a]
+
+
 def test_gf_refuses_primes_too_large_for_int64():
     with pytest.raises(ValueError, match="too large"):
         GF(2**61 - 1)
@@ -342,9 +355,9 @@ def reference_slice(ring, gens, d):
     return rref_reference(f, rows, ncols)
 
 
-def test_slice_reduction_over_a_large_prime_is_exact_or_refused():
+def test_slice_reduction_over_a_large_prime_is_exact():
     # over GF(2^31 - 1) an int64 sum of three products can overflow, so
-    # small slices reduce exactly and larger ones must be refused
+    # larger slices are multiplied in Python integers, exactly
     p = 2147483647
     F = GF(p)
     ring = Ring(["x", "y"], F)
@@ -353,7 +366,7 @@ def test_slice_reduction_over_a_large_prime_is_exact_or_refused():
         Poly(ring, {e: rng.randrange(1, p) for e in ring.monomial_basis(2)}),
     ]
     slices = IdealSlices(ring, gens)
-    outcomes = set()
+    lengths = set()
     for d in range(5):
         ncols = len(ring.monomial_basis(d))
         ref_rows, ref_piv = reference_slice(ring, gens, d)
@@ -367,15 +380,9 @@ def test_slice_reduction_over_a_large_prime_is_exact_or_refused():
             expected = vec
             for row, c in zip(ref_rows, ref_piv):
                 expected = [(a - expected[c] * b) % p for a, b in zip(expected, row)]
-            poly = Poly.from_vector(ring, d, vec)
-            try:
-                got = slices.reduce(d, vec).tolist()
-                member = slices.contains(poly)
-            except ValueError as err:
-                assert "overflow" in str(err)
-                outcomes.add("refused")
-                continue
+            got = slices.reduce(d, vec).tolist()
             assert got == expected
-            assert member == (not any(expected))
-            outcomes.add("exact")
-    assert outcomes == {"exact", "refused"}
+            assert slices.contains(Poly.from_vector(ring, d, vec)) == (not any(expected))
+            lengths.add(ncols)
+    # both the int64 products and the Python-integer ones were exercised
+    assert min(lengths) * (p - 1) ** 2 < 2**63 <= max(lengths) * (p - 1) ** 2
