@@ -73,8 +73,9 @@ def annihilator_slices(F: DualGenerator) -> IdealSlices:
 
 def annihilator(F: DualGenerator) -> Algebra:
     """The AG algebra Q/Ann(F) on the catalecticant slices; its generators
-    are the canonical minimal generators of Ann(F)."""
-    return Algebra.from_slices(annihilator_slices(F))
+    are the canonical minimal generators of Ann(F).  Its Hilbert function is
+    scanned through the zero in degree d+1, whatever d is."""
+    return Algebra.from_slices(annihilator_slices(F), degree_cap=F.d + 1)
 
 
 def hilbert_from_catalecticants(F: DualGenerator):

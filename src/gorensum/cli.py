@@ -43,7 +43,8 @@ def _parse_field(spec):
 def parse_algebra_file(path, field_override=None, degree_cap=DEFAULT_DEGREE_CAP):
     """Read a JSON algebra description into a Factor; degree_cap bounds the
     degrees an "ideal" input is scanned through before it is declared not
-    Artinian."""
+    Artinian, and the degree of a "dual_generator", before any catalecticant
+    is built."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -74,6 +75,10 @@ def parse_algebra_file(path, field_override=None, degree_cap=DEFAULT_DEGREE_CAP)
     try:
         if "dual_generator" in data:
             F = DualGenerator(parse_poly(ring, data["dual_generator"]))
+            if F.d > degree_cap:
+                raise UsageError(
+                    f"{path}: dual generator degree {F.d} exceeds the degree cap {degree_cap}"
+                )
             return Factor(algebra=annihilator(F), dual=F)
         gens = [parse_poly(ring, s) for s in data["ideal"]]
     except (ValueError, ZeroDivisionError) as err:
@@ -319,7 +324,8 @@ def build_parser():
                         help="oracle cap on dim_K of the quotient")
         sp.add_argument("--degree-cap", type=int, default=DEFAULT_DEGREE_CAP,
                         help="degrees an ideal input is scanned through before "
-                        "it is declared not Artinian")
+                        "it is declared not Artinian; the largest degree of a "
+                        "dual generator")
 
     sp = sub.add_parser("hilbert", help="Hilbert function of one algebra")
     common(sp, 1)

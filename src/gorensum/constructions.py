@@ -245,39 +245,3 @@ def hilbert_closed_form(kind, factor_hfs, socle_degree=None, t_hf=None, k=0):
         raise ValueError("inconsistent inputs")
     return tuple(out)
 
-
-def fiber_product_K_iterated(factors) -> ConstructionResult:
-    """Fold the two-factor fiber product over the list, left to right."""
-    current = factors[0]
-    res = None
-    for nxt in factors[1:]:
-        res = fiber_product_K([current, nxt])
-        merged_ring = _flatten_blocks(res.presentation.ring)
-        merged_gens = [
-            Poly(merged_ring, g.terms) for g in res.presentation.generators
-        ]
-        current = Factor(algebra=Algebra(merged_ring, merged_gens))
-    return res
-
-
-def connected_sum_K_iterated(factors) -> ConstructionResult:
-    """Fold the two-factor connected sum over the list, left to right."""
-    current = factors[0]
-    for nxt in factors[1:]:
-        res = connected_sum_K([current, nxt])
-        big = res.presentation.ring
-        # dual generator of the partial sum, for the next iteration
-        f_big = embed(current.dual.F, big, 0) - embed(nxt.dual.F, big, 1)
-        merged_ring = _flatten_blocks(big)
-        merged = Poly(merged_ring, f_big.terms)
-        current = Factor(
-            algebra=Algebra(merged_ring, [Poly(merged_ring, g.terms) for g in res.presentation.generators]),
-            dual=DualGenerator(merged),
-        )
-    return res
-
-
-def _flatten_blocks(ring):
-    from .poly import Ring
-
-    return Ring(ring.variables, ring.field)

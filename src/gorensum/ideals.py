@@ -9,6 +9,9 @@ of `canonical`: h_d = dim (Q/I)_d rows over the N_d degree-d monomials, a
 Q_d are the quotient monomials and column c of E_d is the normal form of the
 c-th monomial over them, which multiplication, socles, reduction, membership
 and the echelon form of I_d all read, at O(N_d h_d^2) per degree.
+`multiplication(d)` is the one reading of all n maps A_d -> A_(d+1); the
+integration, socles and the Koszul oracle use it, and every oracle run
+checks that these maps commute, which is d^2 = 0 on the Koszul complex.
 
 An IdealSlices is built from generators, integrating E_d from E_(d-1)
 (Mourrain's integration method), or from slices given in degrees 0..top
@@ -16,7 +19,6 @@ An IdealSlices is built from generators, integrating E_d from E_(d-1)
 are then the canonical minimal generators, read off on first use.
 """
 
-from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -100,13 +102,14 @@ class IdealSlices:
             h = len(prev)
             if not h:
                 return linalg.zeros(f, (0, ncols)), []
-            pairs = list(combinations(range(n), 2)) if d > 1 else []
-            T = [self.multiplication(l, d - 2) for l in range(n)] if pairs else []
-            h2 = self.codim(d - 2) if pairs else 0
-            cons = linalg.zeros(f, (len(pairs), h2, n, h))
-            for p, (k, l) in enumerate(pairs):
-                cons[p, :, k], cons[p, :, l] = T[l], linalg.neg(f, T[k])
-            c = linalg.kernel_rows(f, cons.reshape(len(pairs) * h2, n * h), n * h)
+            ks, ls = np.triu_indices(n if d > 1 else 0, 1)
+            h2 = self.codim(d - 2) if len(ks) else 0
+            cons = linalg.zeros(f, (len(ks), h2, n, h))
+            if len(ks):
+                T = self.multiplication(d - 2).transpose(0, 2, 1)
+                at = np.arange(len(ks))
+                cons[at, :, ks], cons[at, :, ls] = T[ls], linalg.neg(f, T[ks])
+            c = linalg.kernel_rows(f, cons.reshape(len(ks) * h2, n * h), n * h)
             # each monomial is filled once, from its first variable (all agree)
             lam = linalg.zeros(f, (len(c), ncols))
             for k, (src, dst) in enumerate(first_variable_table(n, d - 1)):
@@ -168,19 +171,20 @@ class IdealSlices:
         out[..., q] = linalg.matmul(f, v, nf.T)
         return out
 
-    def multiplication(self, k, d):
-        """Multiplication by x_k from (Q/I)_d to (Q/I)_(d+1), over the
-        quotient monomial bases: row i is the normal form of x_k times the
+    def multiplication(self, d):
+        """The multiplications by x_0, ..., x_(n-1) from (Q/I)_d to
+        (Q/I)_(d+1) over the quotient monomial bases, as one (n, h_(d+1),
+        h_d) array: column i of map k is the normal form of x_k times the
         i-th quotient monomial of degree d."""
-        up = shift_table(self.ring.nvars, d)[k, self.quotient_monomials(d)]
-        return self.dual(d + 1)[0][:, up].T
+        up = shift_table(self.ring.nvars, d)[:, self.quotient_monomials(d)]
+        return self.dual(d + 1)[0][:, up].transpose(1, 0, 2)
 
     def socle(self, d):
         """Basis of the degree-d elements of Q/I killed by every variable,
         as the rows of an array over the quotient monomials of degree d."""
-        maps = [self.multiplication(k, d).T for k in range(self.ring.nvars)]
-        rows = np.concatenate(maps) if maps else []  # no variables: all of A_d
-        return linalg.kernel_rows(self.ring.field, rows, self.codim(d))
+        m = self.multiplication(d)
+        n, h1, h = m.shape
+        return linalg.kernel_rows(self.ring.field, m.reshape(n * h1, h), h)
 
     def contains(self, poly):
         if poly.is_zero():

@@ -42,12 +42,6 @@ def zeros(field, shape):
     return np.full(shape, Fraction(0), dtype=object)
 
 
-def identity(field, n):
-    out = zeros(field, (n, n))
-    out[np.arange(n), np.arange(n)] = field.one
-    return out
-
-
 def to_array(field, rows, ncols):
     """A list of rows as the field's 2-D array type."""
     dtype = np.int64 if field.is_prime_field else object

@@ -4,7 +4,10 @@ Betti numbers are computed as the homology of the Koszul complex on all the
 ring variables tensored with the quotient algebra, one (homological degree,
 internal degree) slice at a time, by exact rank computations.  Only ranks are
 needed, the complex is finite and explicit for Artinian quotients, and no
-Groebner machinery is involved.
+Groebner machinery is involved.  Every differential is assembled from the
+multiplication maps of IdealSlices.multiplication, and every run checks
+d^2 = 0 through them (the maps commute) before reading a rank, and the Euler
+characteristic after; a failure raises InternalCheckError.
 """
 
 import functools
@@ -20,6 +23,9 @@ from .poly import Poly
 
 class ScaleCapError(Exception):
     pass
+
+
+MAX_VARS = 8
 
 
 def hilbert_function(algebra: Algebra):
@@ -45,8 +51,7 @@ class _QuotientArithmetic:
         """[M, -M] with M[k] the multiplication by x_k from A_d to A_(d+1),
         one column per basis element of A_d (IdealSlices.multiplication)."""
         if d not in self._mult:
-            m = np.stack([self.algebra.slices.multiplication(k, d).T
-                          for k in range(self.ring.nvars)])
+            m = self.algebra.slices.multiplication(d)
             self._mult[d] = np.stack([m, linalg.neg(self.field, m)])
         return self._mult[d]
 
@@ -75,28 +80,26 @@ def _koszul_differential(qa, i, j):
     """
     ncod, ndom, (tgt, src, var, odd) = _koszul_pattern(qa.ring.nvars, i)
     dom_a, cod_a = qa.dim(j - i), qa.dim(j - i + 1)
-    nrows, ncols = ncod * cod_a, ndom * dom_a
     rows = linalg.zeros(qa.field, (ncod, cod_a, ndom, dom_a))
-    if nrows and ncols:
+    if rows.size:
         rows[tgt, :, src, :] = qa.mult_blocks(j - i)[odd, var]
-    return rows.reshape(nrows, ncols), nrows, ncols
+    return rows.reshape(ncod * cod_a, ndom * dom_a)
 
 
-def tor_betti(algebra: Algebra, max_vars=8, max_dim=2000, check_d2=False,
-              max_internal_degree=None):
+def tor_betti(algebra: Algebra, max_dim=2000, max_internal_degree=None):
     """Graded Betti table of A over its polynomial ring, via Koszul homology.
 
     Non-Artinian quotients are supported when max_internal_degree bounds the
     internal degrees to scan (it must be at least the regularity for the
-    table to be complete).  Every run is cross-checked against the Euler
+    table to be complete).  Every run first checks d^2 = 0 (see
+    _check_commuting), and is cross-checked against the Euler
     characteristic identity
     sum_i (-1)^i sum_j beta_ij s^j = HF_A(s) * (1-s)^n, degreewise over the
     scanned range.
     """
-    ring = algebra.ring
-    n = ring.nvars
-    if n > max_vars:
-        raise ScaleCapError(f"{n} variables exceeds the cap of {max_vars}")
+    n = algebra.ring.nvars
+    if n > MAX_VARS:
+        raise ScaleCapError(f"{n} variables exceeds the cap of {MAX_VARS}")
     # qa.dim is 0 outside hf: exact past the socle degree, and with
     # max_internal_degree never reached (j <= max_internal_degree, and
     # i >= 1 wherever degree j - i + 1 is read)
@@ -110,27 +113,16 @@ def tor_betti(algebra: Algebra, max_vars=8, max_dim=2000, check_d2=False,
     qa = _QuotientArithmetic(algebra, hf)
     if sum(hf) > max_dim:
         raise ScaleCapError(f"dim_K {sum(hf)} exceeds the cap of {max_dim}")
-    f = ring.field
+    _check_commuting(qa)
 
-    table = BettiTable()
-    rank_cache = {}
-
+    @functools.lru_cache(maxsize=None)
     def drank(i, j):
         if i < 1 or i > n:
             return 0
-        key = (i, j)
-        if key not in rank_cache:
-            rows, nrows, ncols = _koszul_differential(qa, i, j)
-            if nrows == 0 or ncols == 0:
-                rank_cache[key] = 0
-            else:
-                rank_cache[key] = linalg.rank(
-                    linalg.Matrix(f, nrows, ncols, rows)
-                )
-            if check_d2 and 0 < ncols <= 80 and i >= 2:
-                _check_d_squared_zero(qa, i, j)
-        return rank_cache[key]
+        rows = _koszul_differential(qa, i, j)
+        return linalg.rank(linalg.Matrix(qa.field, *rows.shape, rows)) if rows.size else 0
 
+    table = BettiTable()
     for i in range(n + 1):
         for j in range(i, jmax(i) + 1):
             dim_ij = binom(n, i) * qa.dim(j - i)
@@ -146,13 +138,19 @@ def tor_betti(algebra: Algebra, max_vars=8, max_dim=2000, check_d2=False,
     return table
 
 
-def _check_d_squared_zero(qa, i, j):
-    rows2, nr2, nc2 = _koszul_differential(qa, i, j)
-    rows1, nr1, nc1 = _koszul_differential(qa, i - 1, j)
-    if nr2 == 0 or nc2 == 0 or nr1 == 0:
-        return
-    if linalg.matmul(qa.field, rows1, rows2).any():
-        raise InternalCheckError(f"d^2 != 0 at ({i},{j})")
+def _check_commuting(qa):
+    """d^2 = 0 on every Koszul differential: the components of d_(i-1) d_i
+    are M_l(d+1) M_k(d) - M_k(d+1) M_l(d) for the multiplication maps M_k(d)
+    by x_k from A_d, so d^2 = 0 exactly when M_l(d+1) M_k(d) = M_k(d+1)
+    M_l(d) for all k, l and every d with d + 2 < len(hf)."""
+    for d in range(len(qa.hf) - 2):
+        m, up = qa.mult_blocks(d)[0], qa.mult_blocks(d + 1)[0]
+        # prod[l, k] = M_l(d+1) M_k(d)
+        prod = linalg.matmul(qa.field, up[:, None], m[None])
+        if not np.array_equal(prod, prod.transpose(1, 0, 2, 3)):
+            raise InternalCheckError(
+                f"d^2 != 0: the multiplication maps from degree {d} do not commute"
+            )
 
 
 def _euler_check(table, hf, n, cap=None):

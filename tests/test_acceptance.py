@@ -25,19 +25,14 @@ from gorensum.betti import (
     inflate_betti,
 )
 from gorensum.cli import differential_suite
-from gorensum.constructions import (
-    Factor,
-    connected_sum_K,
-    connected_sum_K_iterated,
-    fiber_product_K,
-    fiber_product_K_iterated,
-)
+from gorensum.constructions import Factor, connected_sum_K, fiber_product_K
 from gorensum.doubling import doubling_certificate, theorem43_harness
 from gorensum.fields import GF
 from gorensum.ideals import Algebra
 from gorensum.linalg import row_space_equal
 from gorensum.oracle import tor_betti
 from gorensum.poly import Ring, parse_poly
+from test_constructions import fold
 from test_doubling import tripod_doubling, monomial_ci_factor, monomial_ci_family
 
 Fp = GF(32003)
@@ -183,10 +178,10 @@ def test_5_invariant_suite():
 
         # iterated (left-fold) and simultaneous constructions agree, r = 3
         fp3 = fiber_product_K(factors)
-        fp_it = fiber_product_K_iterated(factors)
+        fp_it = fold(fiber_product_K, factors)
         assert fp_it.hilbert == fp3.hilbert
         assert same_ideal(fp_it.presentation, fp3.presentation, e + 1)
-        cs_it = connected_sum_K_iterated(factors)
+        cs_it = fold(connected_sum_K, factors)
         assert cs_it.hilbert == cs.hilbert
         assert same_ideal(cs_it.presentation, cs.presentation, e + 1)
 

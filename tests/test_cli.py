@@ -1,6 +1,7 @@
 """CLI: file parsing, commands, exit codes, machine output round-trips."""
 
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -205,6 +206,36 @@ def test_degree_cap_bounds_ideal_inputs(tmp_path, capsys):
     assert capsys.readouterr().out.split() == ["1"] * 9
 
 
+def test_annihilator_of_degree_64_and_above_answers(tmp_path, capsys):
+    # Ann(F) is scanned through its zero in degree deg F + 1, past the
+    # default degree cap of 64
+    path = write(tmp_path, "a.json", {
+        "variables": ["x"], "field": {"prime": 7}, "dual_generator": "x^64",
+    })
+    assert main(["hilbert", path]) == 0
+    assert capsys.readouterr().out.split() == ["1"] * 65
+
+
+def test_degree_cap_bounds_dual_generators(tmp_path, capsys):
+    # refused before any catalecticant is built
+    huge = write(tmp_path, "huge.json", {
+        "variables": ["x"], "field": {"prime": 7}, "dual_generator": "x^3000",
+    })
+    start = time.perf_counter()
+    assert main(["hilbert", huge]) == 2
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().err == (
+        f"error: {huge}: dual generator degree 3000 exceeds the degree cap 64\n"
+    )
+    path = write(tmp_path, "a.json", {
+        "variables": ["x"], "field": {"prime": 7}, "dual_generator": "x^100",
+    })
+    assert main(["hilbert", path]) == 2
+    assert "exceeds the degree cap 64" in capsys.readouterr().err
+    assert main(["hilbert", path, "--degree-cap", "100"]) == 0
+    assert capsys.readouterr().out.split() == ["1"] * 101
+
+
 def test_internal_check_failure_exits_3(factor_files, capsys, monkeypatch):
     from gorensum import constructions
 
@@ -261,8 +292,9 @@ def test_malformed_input_is_a_usage_error(tmp_path, capsys, payload, message):
 NAMES = st.sampled_from(["x", "y", "z", "w", "", "1x"])
 JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 40), st.floats(0, 9),
                  st.text("xyz", max_size=3), st.lists(st.integers(0, 3), max_size=2))
-# exponents stay small (at most 4, or 22 in free text) so that no dual
-# generator needs large catalecticants: those are built before any cap applies
+# exponents stay small (at most 4, or 22 in free text) so that each example
+# is quick; a dual generator past --degree-cap is refused before any
+# catalecticant is built
 POLY = st.one_of(
     st.lists(st.tuples(st.sampled_from(["", "-", "+", "2*", "1/2*", "1/0*", "0*"]),
                        st.lists(st.tuples(NAMES, st.integers(0, 4)), min_size=1, max_size=3)),

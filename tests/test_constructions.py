@@ -11,15 +11,13 @@ from gorensum.constructions import (
     Factor,
     RouteDisagreementError,
     connected_sum_K,
-    connected_sum_K_iterated,
     connected_sum_T,
     fiber_product_K,
-    fiber_product_K_iterated,
     hilbert_closed_form,
 )
 from gorensum.fields import GF, QQ
 from gorensum.ideals import Algebra
-from gorensum.poly import Ring, parse_poly
+from gorensum.poly import Poly, Ring, embed, parse_poly
 
 Fp = GF(32003)
 
@@ -34,6 +32,24 @@ def reference_factors(field=Fp):
         dual_factor(["x", "y", "z"], "x^2*y^3*z^3", field),
         dual_factor(["u", "v"], "u^4*v^4", field),
     ]
+
+
+def fold(construction, factors):
+    """Left fold of the two-factor construction over the factors: each
+    partial result is read back as one factor on a flat ring, carrying the
+    dual generator F - G of a connected sum."""
+    current = factors[0]
+    for nxt in factors[1:]:
+        res = construction([current, nxt])
+        big = res.presentation.ring
+        flat = Ring(big.variables, big.field)
+        gens = [Poly(flat, g.terms) for g in res.presentation.generators]
+        dual = None
+        if construction is connected_sum_K:
+            glued = embed(current.dual.F, big, 0) - embed(nxt.dual.F, big, 1)
+            dual = DualGenerator(Poly(flat, glued.terms))
+        current = Factor(algebra=Algebra(flat, gens), dual=dual)
+    return res
 
 
 def same_ideal(slices_a, slices_b, ring, dmax):
@@ -111,7 +127,7 @@ def test_iterated_vs_simultaneous_fiber_product():
         dual_factor(["s", "t"], "s^4 + t^4"),
     ]
     sim = fiber_product_K(facs)
-    it = fiber_product_K_iterated(facs)
+    it = fold(fiber_product_K, facs)
     assert it.hilbert == sim.hilbert
     assert same_ideal(
         it.presentation.slices, sim.presentation.slices, sim.presentation.ring, 6
@@ -125,7 +141,7 @@ def test_iterated_vs_simultaneous_connected_sum():
         dual_factor(["s", "t"], "s^4 + t^4"),
     ]
     sim = connected_sum_K(facs)
-    it = connected_sum_K_iterated(facs)
+    it = fold(connected_sum_K, facs)
     assert it.hilbert == sim.hilbert
     assert same_ideal(
         it.presentation.slices, sim.presentation.slices, sim.presentation.ring, 5

@@ -223,7 +223,7 @@ def test_inverse_system_engine_matches_multiply_up(field, kind, seed):
         assert ideal.socle(d).tolist() == ref.socle(d).tolist()
         if d < top:
             for k in range(ring.nvars):
-                assert ideal.multiplication(k, d).tolist() == ref.multiplication(k, d)
+                assert ideal.multiplication(d)[k].T.tolist() == ref.multiplication(k, d)
     assert minimal_generators(ideal, top) == minimal_generators(ref, top)
     scan = Algebra(ring, gens, degree_cap=8).hilbert_scan()
     assert scan == Algebra.from_slices(MultiplyUpSlices(ring, gens), degree_cap=8).hilbert_scan()
@@ -239,7 +239,7 @@ def test_canonical_form_depends_only_on_the_span(field, seed, rank, ncols):
     rows = linalg.to_array(field, [[draw() for _ in range(ncols)] for _ in range(rank)], ncols)
     e, q = canonical(field, rows, ncols)
     assert len(q) == len(e) == linalg.rank(linalg.Matrix(field, rank, ncols, rows))
-    assert q == sorted(q) and np.array_equal(e[:, q], linalg.identity(field, len(q)))
+    assert q == sorted(q) and np.array_equal(e[:, q], np.eye(len(q), dtype=np.int64))
     assert all(not row[c + 1:].any() for row, c in zip(e, q))
     # another spanning set of the same space: combinations of the rows
     # appended, then every row shuffled

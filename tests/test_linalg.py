@@ -35,7 +35,7 @@ def mul_vector(field, m, v):
 
 
 def test_rref_identity_fixed_point():
-    m = Matrix(QQ, 4, 4, linalg.identity(QQ, 4))
+    m = mat(QQ, [[int(r == c) for c in range(4)] for r in range(4)])
     red, piv = linalg.rref(m)
     assert piv == [0, 1, 2, 3]
     assert red.rows.tolist() == m.rows.tolist()

@@ -1,11 +1,13 @@
 """The Koszul-homology Betti oracle against hand-checkable resolutions."""
 
 import itertools
+import json
 import os
 import random
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from gorensum import linalg
 from gorensum.betti import BettiTable, betti_socle2, cross_ideal_multi_table
 from gorensum.cli import random_dual_factor
 from gorensum.fields import GF, QQ
-from gorensum.ideals import Algebra, NotArtinianError
+from gorensum.ideals import Algebra, IdealSlices, InternalCheckError, NotArtinianError
 from gorensum.oracle import (
     ScaleCapError,
     _koszul_differential,
@@ -66,7 +68,7 @@ def test_socle_degree_two_table():
         ["x*y", "x*z", "y*z", "x^2 - y^2", "y^2 - z^2"],
     )
     assert A.hilbert_function() == (1, 3, 1)
-    assert tor_betti(A, check_d2=True) == betti_socle2(3)
+    assert tor_betti(A) == betti_socle2(3)
 
 
 def test_oracle_agrees_over_qq_and_gf():
@@ -86,7 +88,7 @@ def test_non_artinian_requires_degree_bound():
 
 def test_scale_caps():
     with pytest.raises(ScaleCapError):
-        tor_betti(algebra([f"x{i}" for i in range(9)], ["x0^2"]), max_vars=8)
+        tor_betti(algebra([f"x{i}" for i in range(9)], ["x0^2"]))
     with pytest.raises(ScaleCapError):
         tor_betti(algebra(["x"], ["x^50"]), max_dim=10)
 
@@ -123,37 +125,62 @@ def test_regularity_equals_socle_degree():
         assert tor_betti(A).regularity() == A.socle_degree
 
 
-def test_d_squared_check_survives_python_O():
-    # a corrupted map for x on A_0 breaks x*y = y*x; under -O an assert
-    # would be stripped and the check would pass silently
-    script = textwrap.dedent("""
+def test_d_squared_check_survives_python_O(tmp_path):
+    # the map for x on A_0 is corrupted once the slices are integrated (the
+    # integration reads the same maps), breaking x*y = y*x; under -O an
+    # assert would be stripped and the check would pass silently
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(
+        {"variables": ["x", "y"], "field": {"prime": 32003}, "ideal": ["x^2", "y^2"]}
+    ))
+    script = textwrap.dedent(f"""
         import sys
-        from gorensum.fields import GF
+        from gorensum import cli
         from gorensum.ideals import Algebra, IdealSlices
-        from gorensum.oracle import tor_betti
-        from gorensum.poly import Ring, parse_poly
 
-        real = IdealSlices.multiplication
+        real_mult, real_hf = IdealSlices.multiplication, Algebra.hilbert_function
 
-        def skewed(self, k, d):
-            m = real(self, k, d)
-            return m * 2 % 32003 if (k, d) == (0, 0) else m
+        def skewed(self, d):
+            m = real_mult(self, d).copy()
+            if d == 0:
+                m[0] = m[0] * 2 % 32003
+            return m
 
-        IdealSlices.multiplication = skewed
+        def hilbert_function(self):
+            hf = real_hf(self)
+            IdealSlices.multiplication = skewed
+            return hf
+
+        Algebra.hilbert_function = hilbert_function
         print(sys.flags.optimize)
-        ring = Ring(["x", "y"], GF(32003))
-        A = Algebra(ring, [parse_poly(ring, "x^2"), parse_poly(ring, "y^2")])
-        tor_betti(A, check_d2=True)
+        sys.exit(cli.main(["betti", {str(path)!r}]))
     """)
     src = os.path.dirname(os.path.dirname(os.path.abspath(gorensum.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.stdout == "1\n"
-    assert proc.returncode == 1
-    assert proc.stderr.splitlines()[-1].endswith(
-        "InternalCheckError: d^2 != 0 at (2,2)"
+    assert proc.returncode == 3
+    assert proc.stderr == (
+        "error: internal check failed: d^2 != 0: the multiplication maps "
+        "from degree 0 do not commute\n"
     )
+
+
+def test_d_squared_check_runs_over_qq(monkeypatch):
+    A = algebra(["x", "y", "z"], ["x^2", "y^2", "z^2"], QQ)
+    assert tor_betti(A) == koszul_table([2, 2, 2])
+    real = IdealSlices.multiplication
+
+    def skewed(self, d):
+        m = real(self, d).copy()
+        if d == 2:
+            m[2] = m[2] * Fraction(3, 2)
+        return m
+
+    monkeypatch.setattr(IdealSlices, "multiplication", skewed)
+    with pytest.raises(InternalCheckError, match="from degree 1 do not"):
+        tor_betti(A)
 
 
 def koszul_differential_by_blocks(qa, i, j):
@@ -171,7 +198,7 @@ def koszul_differential_by_blocks(qa, i, j):
     for sp, s in enumerate(dom_sets):
         for pos, k in enumerate(s):
             block = cod_pos[s[:pos] + s[pos + 1 :]] * cod_a
-            m = qa.algebra.slices.multiplication(k, j - i).T
+            m = qa.algebra.slices.multiplication(j - i)[k]
             rows[block : block + cod_a, sp * dom_a : (sp + 1) * dom_a] = (
                 linalg.neg(f, m) if pos % 2 else m
             )
@@ -188,9 +215,9 @@ def test_koszul_assembly_matches_block_loop():
             qa = _QuotientArithmetic(A, hf)
             for i in range(1, nvars + 1):
                 for j in range(i - 1, i + len(hf) + 1):
-                    rows, nrows, ncols = _koszul_differential(qa, i, j)
+                    rows = _koszul_differential(qa, i, j)
                     ref = koszul_differential_by_blocks(qa, i, j)
-                    assert (nrows, ncols) == ref.shape
+                    assert rows.shape == ref.shape
                     assert rows.dtype == ref.dtype
                     assert np.array_equal(rows, ref)
                     compared += 1
