@@ -7,6 +7,7 @@ and therefore works unchanged in any characteristic.
 """
 
 from dataclasses import dataclass
+from math import comb
 from typing import Optional
 
 import numpy as np
@@ -16,6 +17,9 @@ from . import linalg
 from .ideals import Algebra, IdealSlices, canonical, minimal_generators  # noqa: F401
 from .linalg import Matrix
 from .poly import Poly, product_table
+
+# cells of the largest catalecticant annihilator_slices builds
+MAX_CATALECTICANT_CELLS = 10**7
 
 
 def contract(f, F):
@@ -63,7 +67,13 @@ def catalecticant(F: DualGenerator, i: int) -> Matrix:
 def annihilator_slices(F: DualGenerator) -> IdealSlices:
     """Slices of Ann(F): its inverse system in degree i is spanned by the
     contractions of F by the monomials of degree d-i, the columns of that
-    catalecticant, and is 0 past the socle degree d."""
+    catalecticant, and is 0 past the socle degree d.  A catalecticant over
+    MAX_CATALECTICANT_CELLS is refused before any is built."""
+    n, d = F.ring.nvars, F.d
+    cells = max(comb(n - 1 + i, i) * comb(n - 1 + d - i, d - i) for i in range(d + 1))
+    if cells > MAX_CATALECTICANT_CELLS:
+        raise ValueError(f"the largest catalecticant has {cells} cells, "
+                         f"over the budget of {MAX_CATALECTICANT_CELLS}")
     fld, basis = F.ring.field, F.ring.monomial_basis
     duals = [canonical(fld, catalecticant(F, F.d - i).rows.T, len(basis(i)))
              for i in range(F.d + 1)]

@@ -308,6 +308,14 @@ def _cmd_verify(args):
     return 0
 
 
+def nonnegative(text):
+    """argparse type of the count-like flags: an int, at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, not {value}")
+    return value
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="gorensum",
@@ -320,9 +328,9 @@ def build_parser():
         sp.add_argument("files", nargs=nfiles, help="JSON algebra files")
         sp.add_argument("--field", help='coefficient field override: "QQ" or a prime')
         sp.add_argument("--output", choices=["text", "machine"], default="text")
-        sp.add_argument("--max-dim", type=int, default=2000,
+        sp.add_argument("--max-dim", type=nonnegative, default=2000,
                         help="oracle cap on dim_K of the quotient")
-        sp.add_argument("--degree-cap", type=int, default=DEFAULT_DEGREE_CAP,
+        sp.add_argument("--degree-cap", type=nonnegative, default=DEFAULT_DEGREE_CAP,
                         help="degrees an ideal input is scanned through before "
                         "it is declared not Artinian; the largest degree of a "
                         "dual generator")
@@ -346,9 +354,9 @@ def build_parser():
     sp = sub.add_parser("verify", help="randomized formula-vs-oracle suite")
     sp.add_argument("--field", help='coefficient field override')
     sp.add_argument("--output", choices=["text", "machine"], default="text")
-    sp.add_argument("--max-dim", type=int, default=2000)
+    sp.add_argument("--max-dim", type=nonnegative, default=2000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--count", type=int, default=25)
+    sp.add_argument("--count", type=nonnegative, default=25)
     return p
 
 

@@ -4,11 +4,13 @@ Matrices and echelon forms are 2-D numpy arrays: int64 with entries in
 0..p-1 over GF(p), and `object` arrays of `Fraction` over QQ.  An echelon
 form is the pair (rows, pivot columns), with rows a (rank, ncols) array and
 pivots a list of ints; functions here accept an array or a list of rows.
-Two engines sit behind one interface: a vectorized numpy engine for prime
-fields and a Fraction engine for the rationals.  The prime engine reduces
-every entry into 0..p-1 after each step, so no int64 intermediate exceeds
-(p-1)^2 + p - 1, which the cap on GF keeps below 2^63: every shape is exact
-for every prime GF accepts.  `matmul` sums k products in int64 while that
+One kernel, `_eliminate`, does every elimination over both fields: rows
+not yet used as pivots sit at the top, each pivot row retires in place, and
+only the rows hit in the pivot column are updated, from that column on.
+Over GF(p) it reduces every entry into 0..p-1 after each step, so no int64
+intermediate exceeds (p-1)^2 + p - 1, which the cap on GF keeps below 2^63:
+every shape is exact for every prime GF accepts.  Over QQ it runs the same
+steps on `Fraction` entries.  `matmul` sums k products in int64 while that
 sum stays below 2^63, and in Python integers past it, so it is exact too.
 Everything is deterministic: pivots are always the first nonzero entry
 scanning left to right, top to bottom, so identical inputs give
@@ -62,15 +64,17 @@ def matmul(field, a, b):
     return (a.astype(object) @ b.astype(object) % field.p).astype(np.int64)
 
 
-def _rref_prime(p, rows, ncols, rank_only=False):
-    # Every entry stays in 0..p-1, so no intermediate exceeds (p-1)^2 + p - 1.
-    # m[:free] holds the unused rows, zero left of column c; each pivot row
-    # retires to m[free - 1], so m[free:] is the echelon form upside down.
+def _eliminate(p, rows, ncols, rank_only):
+    """(echelon rows, pivots) over GF(p), or over QQ when p is None.
+    m[:free] holds the unused rows, zero left of column c; each pivot row
+    retires to m[free - 1], so m[free:] is the echelon form upside down."""
+    dtype = object if p is None else np.int64
     nrows = len(rows)
     if not nrows or ncols == 0:
-        return np.zeros((0, ncols), dtype=np.int64), []
-    m = np.array(rows, dtype=np.int64).reshape(nrows, ncols)
-    m %= p
+        return np.zeros((0, ncols), dtype=dtype), []
+    m = np.array(rows, dtype=dtype).reshape(nrows, ncols)
+    if p is not None:
+        m %= p
     pivots = []
     free = nrows
     for c in range(ncols):
@@ -79,12 +83,16 @@ def _rref_prime(p, rows, ncols, rank_only=False):
         if not nz.size or nz[0] >= free:
             continue
         k = nz[0]
-        prow = m[k, c:] * pow(int(m[k, c]), -1, p) % p
+        if p is None:
+            prow = m[k, c:] * (1 / m[k, c])
+        else:
+            prow = m[k, c:] * pow(int(m[k, c]), -1, p) % p
         hit = nz[1:]
         if hit.size:
             blk = m[hit, c:]
             blk -= blk[:, :1] * prow
-            blk %= p
+            if p is not None:
+                blk %= p
             m[hit, c:] = blk
         pivots.append(c)
         free -= 1
@@ -95,39 +103,12 @@ def _rref_prime(p, rows, ncols, rank_only=False):
     return np.ascontiguousarray(m[free:][::-1]), pivots
 
 
+def _rref_prime(p, rows, ncols, rank_only=False):
+    return _eliminate(p, rows, ncols, rank_only)
+
+
 def _rref_rational(rows, ncols, rank_only=False):
-    work = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    nrows = len(work)
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = None
-        for i in range(r, nrows):
-            if work[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][c]
-        if inv != 1:
-            work[r] = [x * inv for x in work[r]]
-        rng = range(r + 1, nrows) if rank_only else range(nrows)
-        prow = work[r]
-        for i in rng:
-            if i == r:
-                continue
-            f = work[i][c]
-            if f:
-                work[i] = [a - f * b for a, b in zip(work[i], prow)]
-        pivots.append(c)
-        r += 1
-    out = np.empty((r, ncols), dtype=object)
-    if r:
-        out[:] = work[:r]
-    return out, pivots
+    return _eliminate(None, rows, ncols, rank_only)
 
 
 def rref(matrix):
@@ -208,45 +189,35 @@ def row_space_intersection(field, rows_a, rows_b, ncols):
 
 
 class EchelonBasis:
-    """Incrementally maintained row-echelon basis of a subspace of K^n."""
+    """Incrementally grown subspace of K^n, held as its canonical reduced
+    echelon form (rows, pivots)."""
 
     def __init__(self, field, ncols):
         self.field = field
         self.ncols = ncols
-        self.rows = []
+        self.rows = zeros(field, (0, ncols))
         self.pivots = []
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self.pivots)
 
     def reduce(self, vec):
-        """Forward-eliminate vec against the basis; returns the remainder."""
-        f = self.field
-        v = list(vec)
-        for row, c in zip(self.rows, self.pivots):
-            coef = v[c]
-            if coef:
-                v = [f.sub(a, f.mul(coef, b)) for a, b in zip(v, row)]
-        return v
+        """The remainder of vec modulo the span: zero at every pivot."""
+        return reduce_vector(self.field, self.rows, self.pivots, vec).tolist()
 
     def insert(self, vec):
         """Add vec to the span; returns the normalized remainder if it was
         independent, else None."""
-        f = self.field
         v = self.reduce(vec)
         piv = next((i for i, x in enumerate(v) if x), None)
         if piv is None:
             return None
-        inv = f.inv(v[piv])
-        if inv != f.one:
-            v = [f.mul(inv, x) for x in v]
-        k = 0
-        while k < len(self.pivots) and self.pivots[k] < piv:
-            k += 1
-        self.rows.insert(k, v)
-        self.pivots.insert(k, piv)
-        return v
+        stacked = np.concatenate([self.rows, to_array(self.field, [v], self.ncols)])
+        self.rows, self.pivots = _reduce_rows(self.field, stacked, self.ncols)
+        # the echelon row at piv is the one vector of the span that is 1 at
+        # piv and 0 at every other pivot: the normalized remainder
+        return self.rows[self.pivots.index(piv)].tolist()
 
     def contains(self, vec):
         return not any(self.reduce(vec))

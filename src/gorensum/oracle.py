@@ -142,12 +142,12 @@ def _check_commuting(qa):
     """d^2 = 0 on every Koszul differential: the components of d_(i-1) d_i
     are M_l(d+1) M_k(d) - M_k(d+1) M_l(d) for the multiplication maps M_k(d)
     by x_k from A_d, so d^2 = 0 exactly when M_l(d+1) M_k(d) = M_k(d+1)
-    M_l(d) for all k, l and every d with d + 2 < len(hf)."""
+    M_l(d) for all k < l and every d with d + 2 < len(hf)."""
+    k, l = np.triu_indices(qa.ring.nvars, 1)
     for d in range(len(qa.hf) - 2):
         m, up = qa.mult_blocks(d)[0], qa.mult_blocks(d + 1)[0]
-        # prod[l, k] = M_l(d+1) M_k(d)
-        prod = linalg.matmul(qa.field, up[:, None], m[None])
-        if not np.array_equal(prod, prod.transpose(1, 0, 2, 3)):
+        if not np.array_equal(linalg.matmul(qa.field, up[l], m[k]),
+                              linalg.matmul(qa.field, up[k], m[l])):
             raise InternalCheckError(
                 f"d^2 != 0: the multiplication maps from degree {d} do not commute"
             )

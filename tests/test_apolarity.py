@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gorensum import linalg
+from gorensum import apolarity, linalg
 from gorensum.apolarity import (
     DualGenerator,
     annihilator,
@@ -55,6 +55,18 @@ def test_monomial_dual_generator_gives_monomial_ci():
     A = annihilator(F)
     assert sorted(str(g) for g in A.generators) == ["x^3", "y^4", "z^4"]
     assert A.hilbert_function() == (1, 3, 6, 9, 10, 9, 6, 3, 1)
+
+
+def test_catalecticant_budget_bounds_the_largest_catalecticant(monkeypatch):
+    monkeypatch.setattr(apolarity, "MAX_CATALECTICANT_CELLS", 9)
+    r = Ring(["x", "y"], QQ)
+    # the largest catalecticant of x^2*y^2 is N_2 x N_2 = 3 x 3, at the budget
+    F = DualGenerator(parse_poly(r, "x^2*y^2"))
+    assert annihilator(F).hilbert_function() == (1, 2, 3, 2, 1)
+    # and that of x^2*y^3 is N_2 x N_3 = 3 x 4, over it
+    G = DualGenerator(parse_poly(r, "x^2*y^3"))
+    with pytest.raises(ValueError, match="has 12 cells, over the budget of 9$"):
+        annihilator_slices(G)
 
 
 def test_hilbert_from_catalecticants_symmetric():

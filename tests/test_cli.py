@@ -236,6 +236,21 @@ def test_degree_cap_bounds_dual_generators(tmp_path, capsys):
     assert capsys.readouterr().out.split() == ["1"] * 101
 
 
+def test_catalecticant_budget_is_checked_before_any_is_built(tmp_path, capsys):
+    # x^333 in three variables passes a raised degree cap; its largest
+    # catalecticant is 14,028 x 14,196 (1.6 GB as int64)
+    path = write(tmp_path, "a.json", {
+        "variables": ["x", "y", "z"], "field": "QQ", "dual_generator": "x^333",
+    })
+    start = time.perf_counter()
+    assert main(["annihilator", path, "--degree-cap", "400"]) == 2
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: the largest catalecticant has 199141488 cells, "
+        "over the budget of 10000000\n"
+    )
+
+
 def test_internal_check_failure_exits_3(factor_files, capsys, monkeypatch):
     from gorensum import constructions
 
@@ -324,3 +339,56 @@ def test_fuzzed_input_gets_an_exit_code_not_a_traceback(tmp_path, capsys, payloa
     code = main([command, path, "--degree-cap", "6", "--output", output])
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in capsys.readouterr().err
+
+
+def run_main(argv, capsys):
+    """(exit code, stdout, stderr) of main(argv), argparse's exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exit_info:
+        code = exit_info.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_fuzzed_flags_get_an_exit_code_not_a_traceback(tmp_path, capsys):
+    a = write(tmp_path, "a.json", {
+        "variables": ["x", "y"], "field": {"prime": 32003}, "dual_generator": "x^2*y",
+    })
+    b = write(tmp_path, "b.json", {
+        "variables": ["u"], "field": {"prime": 32003}, "dual_generator": "u^3",
+    })
+    j = write(tmp_path, "j.json", {
+        "variables": ["x", "y", "z"], "field": "QQ", "ideal": ["x*y", "x*z", "y*z"],
+    })
+    i = write(tmp_path, "i.json", {
+        "variables": ["x", "y", "z"], "field": "QQ",
+        "ideal": ["x*y", "x*z", "y*z", "x^3+y^3", "x^3+z^3"],
+    })
+    file_flags = ("--max-dim", "--degree-cap")
+    commands = [
+        (["hilbert", a], file_flags),
+        (["annihilator", a], file_flags),
+        (["betti", a], file_flags),
+        (["betti", a, b, "--construction", "connected-sum", "--method", "both"], file_flags),
+        (["fiber-product", a, b, "--method", "both"], file_flags),
+        (["connected-sum", a, b], file_flags),
+        (["doubling-check", j, i], file_flags),
+        # --count 10^9 is bounded by --max-dim 0, which refuses the first instance
+        (["verify", "--max-dim", "0"], ("--count",)),
+        (["verify", "--count", "1"], ("--max-dim", "--seed")),
+    ]
+    nonnegative = {"--max-dim", "--degree-cap", "--count"}
+    for base, flags in commands:
+        argvs = [base + [flag, value] for flag in flags
+                 for value in ("-1", "0", "1", str(10**9))]
+        argvs += [base + ["--field", junk] for junk in
+                  ("0", "1", "4", "-7", "QQQ", "1/2", "2147483648", str(2**63))]
+        argvs += [base + extra for extra in
+                  (["--bogus"], ["--output", "json"], ["--max-dim"], ["--max-dim", "x"])]
+        for argv in argvs:
+            code, out, err = run_main(argv, capsys)
+            assert code in (0, 1, 2), argv
+            assert "Traceback" not in err, argv
+            if argv[-2] in nonnegative and argv[-1] == "-1":
+                assert code == 2 and out == "" and "must be nonnegative" in err, argv

@@ -301,33 +301,37 @@ def test_array_engine_matches_reference_rref(shaped):
         assert rank_piv == ref_piv
 
 
-def koszul_like_matrix(rng, p, nrows, ncols, density):
-    """Sparse entries in 0..p-1, with all-zero rows and columns and repeated
-    rows."""
+def koszul_like_matrix(rng, field, nrows, ncols, density):
+    """Sparse entries, in 1..p-1 over GF(p) and with denominators up to 12
+    over QQ, with all-zero rows and columns and repeated rows."""
+    if field.is_prime_field:
+        entry = lambda: rng.randrange(1, field.p)
+    else:
+        entry = lambda: Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 12))
     rows = [
-        [rng.randrange(1, p) if rng.random() < density else 0 for _ in range(ncols)]
+        [entry() if rng.random() < density else field.zero for _ in range(ncols)]
         for _ in range(nrows)
     ]
     for c in rng.sample(range(ncols), ncols // 5):
         for r in rows:
-            r[c] = 0
+            r[c] = field.zero
     for i in rng.sample(range(nrows), nrows // 5):
-        rows[i] = [0] * ncols
+        rows[i] = [field.zero] * ncols
     for i in rng.sample(range(nrows), nrows // 4):
         rows[i] = list(rows[rng.randrange(nrows)])
     return rows
 
 
-def test_prime_engine_matches_reference_at_koszul_shapes():
+def test_engine_matches_reference_at_koszul_shapes():
     rng = random.Random(17)
     shapes = [(40, 60, 0.03), (40, 60, 0.3), (60, 40, 0.1), (12, 60, 0.1),
               (60, 12, 0.3), (30, 30, 0.1), (1, 60, 0.3), (60, 1, 0.3)] * 2
-    for p in (2, 7, 32003, 2147483647):
-        F = GF(p)
+    for F in (GF(2), GF(7), GF(32003), GF(2147483647), QQ):
         for nrows, ncols, density in shapes:
-            rows = koszul_like_matrix(rng, p, nrows, ncols, density)
-            # other representatives, zeros included, are reduced on the way in
-            given_rows = [[x + p * rng.choice((-1, 0, 0, 2)) for x in r] for r in rows]
+            rows = given_rows = koszul_like_matrix(rng, F, nrows, ncols, density)
+            if F.is_prime_field:
+                # other representatives, zeros included, are reduced on the way in
+                given_rows = [[x + F.p * rng.choice((-1, 0, 0, 2)) for x in r] for r in rows]
             red, piv = linalg._reduce_rows(F, given_rows, ncols)
             ref_rows, ref_piv = rref_reference(F, rows, ncols)
             assert piv == ref_piv
@@ -335,9 +339,13 @@ def test_prime_engine_matches_reference_at_koszul_shapes():
             echelon, rank_piv = linalg._reduce_rows(F, given_rows, ncols, rank_only=True)
             assert rank_piv == ref_piv
             for out in (red, echelon):
-                assert out.shape == (len(ref_piv), ncols)
-                assert out.dtype == np.int64 and out.flags.c_contiguous
-                assert ((out >= 0) & (out < p)).all()
+                assert out.shape == (len(ref_piv), ncols) and out.flags.c_contiguous
+                if F.is_prime_field:
+                    assert out.dtype == np.int64
+                    assert ((out >= 0) & (out < F.p)).all()
+                else:
+                    assert out.dtype == object
+                    assert all(type(x) is Fraction for x in out.flat)
 
 
 def reference_slice(ring, gens, d):
