@@ -6,18 +6,26 @@ form is the pair (rows, pivot columns), with rows a (rank, ncols) array and
 pivots a list of ints; functions here accept an array or a list of rows.
 One kernel, `_eliminate`, does every elimination over both fields: rows
 not yet used as pivots sit at the top, each pivot row retires in place, and
-only the rows hit in the pivot column are updated, from that column on.
-Over GF(p) it reduces every entry into 0..p-1 after each step, so no int64
+only the rows hit in the pivot column are updated, from that column on
+(over QQ a hit row that already retired is scaled whole).  Over GF(p) it reduces every entry into 0..p-1 after each step, so no int64
 intermediate exceeds (p-1)^2 + p - 1, which the cap on GF keeps below 2^63:
-every shape is exact for every prime GF accepts.  Over QQ it runs the same
-steps on `Fraction` entries.  `matmul` sums k products in int64 while that
-sum stays below 2^63, and in Python integers past it, so it is exact too.
+every shape is exact for every prime GF accepts.  Over QQ it runs on
+Python integers, fraction-free (Bareiss, Math. Comp. 22, 1968): each input
+row is cleared of its denominators, a hit row becomes row * a - row[c] *
+(pivot row) with a the pivot entry, divided by the gcd of its entries, and
+each echelon row is divided by its pivot entry only at the end, so the
+output is the canonical RREF as `Fraction`s.  `matmul` over GF(p) sums k
+products in int64 while that sum stays below 2^63, and in Python integers
+past it, so it is exact too; over QQ it clears the rows of a and the
+columns of b of denominators, multiplies once in Python integers and makes
+one `Fraction` per nonzero output cell.
 Everything is deterministic: pivots are always the first nonzero entry
 scanning left to right, top to bottom, so identical inputs give
 bit-identical echelon forms.
 """
 
 from fractions import Fraction
+from operator import attrgetter
 
 import numpy as np
 
@@ -55,25 +63,67 @@ def neg(field, a):
 
 
 def matmul(field, a, b):
-    """a @ b over the field; over GF(p) an inner dimension at which the
-    int64 sum could overflow is multiplied in Python integers instead."""
+    """a @ b over the field, for a 1-D, 2-D or stacked a and a 2-D or
+    stacked b; over GF(p) an inner dimension at which the int64 sum could
+    overflow is multiplied in Python integers instead."""
     if not field.is_prime_field:
-        return a @ b
+        return _matmul_rational(a, b)
     if a.shape[-1] * (field.p - 1) ** 2 < 2**63:
         return a @ b % field.p
     return (a.astype(object) @ b.astype(object) % field.p).astype(np.int64)
 
 
+_numerator = np.frompyfunc(attrgetter("numerator"), 1, 1)
+_denominator = np.frompyfunc(attrgetter("denominator"), 1, 1)
+_fraction = np.frompyfunc(Fraction, 2, 1)
+
+
+def _cleared(a, axis):
+    """(n, d): Python integers n and the lcm d of the denominators along
+    axis, with a = n / d.  Only the nonzero entries are read."""
+    nz = a.nonzero()
+    num, den = _numerator(a[nz]), _denominator(a[nz])
+    lcm = np.ones(a.shape, dtype=object)
+    lcm[nz] = den
+    lcm = np.lcm.reduce(lcm, axis=axis, keepdims=True, initial=1)
+    out = np.zeros(a.shape, dtype=object)
+    out[nz] = num * (np.broadcast_to(lcm, a.shape)[nz] // den)
+    return out, lcm
+
+
+def _fractions(num, den):
+    """num / den cell by cell, as `Fraction` objects."""
+    out = np.full(num.shape, Fraction(0), dtype=object)
+    nz = num.nonzero()
+    out[nz] = _fraction(num[nz], np.broadcast_to(den, num.shape)[nz])
+    return out
+
+
+def _matmul_rational(a, b):
+    """a @ b over QQ: the rows of a and the columns of b are cleared of
+    denominators, multiplied once in integers, and each cell divided back."""
+    a, b = np.asarray(a, dtype=object), np.asarray(b, dtype=object)
+    if a.ndim == 1:
+        return _matmul_rational(a[None], b)[..., 0, :]
+    na, da = _cleared(a, -1)
+    nb, db = _cleared(b, -2)
+    return _fractions(na @ nb, da * db)
+
+
 def _eliminate(p, rows, ncols, rank_only):
     """(echelon rows, pivots) over GF(p), or over QQ when p is None.
     m[:free] holds the unused rows, zero left of column c; each pivot row
-    retires to m[free - 1], so m[free:] is the echelon form upside down."""
+    retires to m[free - 1], so m[free:] is the echelon form upside down.
+    Over QQ m holds Python integers, each row a multiple of the one the
+    field arithmetic would hold, and rows are divided by their pivots last."""
     dtype = object if p is None else np.int64
     nrows = len(rows)
     if not nrows or ncols == 0:
         return np.zeros((0, ncols), dtype=dtype), []
     m = np.array(rows, dtype=dtype).reshape(nrows, ncols)
-    if p is not None:
+    if p is None:
+        m = _primitive(_cleared(m, 1)[0])
+    else:
         m %= p
     pivots = []
     free = nrows
@@ -83,24 +133,39 @@ def _eliminate(p, rows, ncols, rank_only):
         if not nz.size or nz[0] >= free:
             continue
         k = nz[0]
+        hit = nz[1:]
         if p is None:
-            prow = m[k, c:] * (1 / m[k, c])
+            prow = m[k, c:].copy()
+            if hit.size:
+                # fraction-free: row * pivot - row[c] * pivot row; a retired
+                # row is nonzero left of c, so it is scaled whole
+                lo = c if hit[-1] < free else 0
+                blk = m[hit, lo:]
+                m[hit, lo:] = _primitive(blk * prow[0] - blk[:, c - lo, None] * m[k, lo:])
         else:
             prow = m[k, c:] * pow(int(m[k, c]), -1, p) % p
-        hit = nz[1:]
-        if hit.size:
-            blk = m[hit, c:]
-            blk -= blk[:, :1] * prow
-            if p is not None:
+            if hit.size:
+                blk = m[hit, c:]
+                blk -= blk[:, :1] * prow
                 blk %= p
-            m[hit, c:] = blk
+                m[hit, c:] = blk
         pivots.append(c)
         free -= 1
         m[k] = m[free]
         m[free, c:] = prow
         if not free:
             break
-    return np.ascontiguousarray(m[free:][::-1]), pivots
+    out = np.ascontiguousarray(m[free:][::-1])
+    if p is None:
+        out = _fractions(out, out[np.arange(len(pivots)), pivots][:, None])
+    return out, pivots
+
+
+def _primitive(m):
+    """The integer rows of m, each divided by the gcd of its entries."""
+    g = np.gcd.reduce(m, axis=1, keepdims=True)
+    g[g == 0] = 1
+    return m // g
 
 
 def _rref_prime(p, rows, ncols, rank_only=False):

@@ -139,12 +139,19 @@ def product_table(n, i, j):
     """Products of monomials in n variables: entry [r, c] is the index in
     the degree-(i+j) basis of the r-th degree-i monomial times the c-th
     degree-j monomial.  Read-only; shared by every ring."""
-    # the variables of each degree-i monomial, with multiplicity
-    factors = [[k for k, e in enumerate(m) for _ in range(e)]
-               for m in _grevlex_basis(n, i)]
-    table = np.tile(np.arange(len(_grevlex_basis(n, j))), (len(factors), 1))
-    for t in range(i):
-        table = shift_table(n, j + t)[[[f[t]] for f in factors], table]
+    # an exponent vector read in base i+j+1 has no carries up to degree
+    # i+j, so the code of a product is the sum of the codes of its factors
+    base = i + j + 1
+    dtype = np.int64 if base**n < 2**63 else object
+    weights = np.array([base**k for k in range(n)], dtype=dtype)
+
+    def codes(d):
+        basis = _grevlex_basis(n, d)
+        return np.array(basis, dtype=dtype).reshape(len(basis), n) @ weights
+
+    target = codes(i + j)
+    order = np.argsort(target)
+    table = order[np.searchsorted(target[order], codes(i)[:, None] + codes(j)[None, :])]
     table.flags.writeable = False
     return table
 

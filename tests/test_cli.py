@@ -84,6 +84,38 @@ def test_annihilator_command(tmp_path, capsys):
     assert out["hilbert"] == [1, 2, 3, 4, 5, 4, 3, 2, 1]
 
 
+# dual generators with rational coefficients, and the exact machine output
+# they give; every coefficient printed is a `Fraction` in lowest terms
+RATIONAL_DUALS = {
+    "a": (["x", "y"], "x^2*y + 2/3*y^3"),
+    "b": (["u", "v"], "u^3 - 5/7*u*v^2"),
+    "c": (["x", "y", "z"], "x^2*y*z + 2/3*y^3*z - 5/7*x*z^3 + 1/11*y^4"),
+}
+RATIONAL_ANNIHILATORS = {
+    "a": '{"hilbert": [1, 2, 2, 1], "ideal": ["x^2 - 3/2*y^2", "x*y^2"]}',
+    "b": '{"hilbert": [1, 2, 2, 1], "ideal": ["u^2 + 7/5*v^2", "v^3"]}',
+    "c": '{"hilbert": [1, 3, 5, 3, 1], "ideal": ["x*y + 7/5*z^2", "x^3", '
+         '"y^3 - 3/22*y^2*z + 14/15*x*z^2", "x^2*z - 3/2*y^2*z", "y*z^2"]}',
+}
+RATIONAL_CONNECTED_SUM = (
+    '{"agree": true, "betti": [[0, 0, 1], [1, 2, 6], [1, 3, 3], [2, 3, 8], [2, 4, 8], '
+    '[3, 4, 3], [3, 5, 6], [4, 7, 1]], "hilbert": [1, 4, 4, 1], "poincare": "1 + 6*t*s^2 '
+    '+ 3*t*s^3 + 8*t^2*s^3 + 8*t^2*s^4 + 3*t^3*s^4 + 6*t^3*s^5 + t^4*s^7"}'
+)
+
+
+def test_rational_coefficients_golden_output(tmp_path, capsys):
+    paths = {name: write(tmp_path, f"{name}.json", {
+        "variables": variables, "field": "QQ", "dual_generator": dual,
+    }) for name, (variables, dual) in RATIONAL_DUALS.items()}
+    for name, expected in RATIONAL_ANNIHILATORS.items():
+        assert main(["annihilator", paths[name], "--output", "machine"]) == 0
+        assert capsys.readouterr().out == expected + "\n"
+    assert main(["connected-sum", paths["a"], paths["b"], "--method", "both",
+                 "--output", "machine"]) == 0
+    assert capsys.readouterr().out == RATIONAL_CONNECTED_SUM + "\n"
+
+
 def test_connected_sum_both_agrees(factor_files, capsys):
     a, b = factor_files
     assert main(["connected-sum", a, b, "--method", "both"]) == 0
@@ -392,3 +424,48 @@ def test_fuzzed_flags_get_an_exit_code_not_a_traceback(tmp_path, capsys):
             assert "Traceback" not in err, argv
             if argv[-2] in nonnegative and argv[-1] == "-1":
                 assert code == 2 and out == "" and "must be nonnegative" in err, argv
+
+
+def test_mismatched_multi_file_inputs_get_an_exit_code_not_a_traceback(tmp_path, capsys):
+    def factor(name, variables, field, **body):
+        return write(tmp_path, f"{name}.json", {"variables": variables, "field": field, **body})
+
+    qq_xy = factor("qq_xy", ["x", "y"], "QQ", dual_generator="x^2*y + 2/3*y^3")
+    qq_xz = factor("qq_xz", ["x", "z"], "QQ", dual_generator="x*z^2")
+    qq_uv = factor("qq_uv", ["u", "v"], "QQ", dual_generator="u^3 - 5/7*u*v^2")
+    gf_uv = factor("gf_uv", ["u", "v"], {"prime": 32003}, dual_generator="u^3")
+    gf7_s = factor("gf7_s", ["s"], {"prime": 7}, dual_generator="s^3")
+    ideal_uv = factor("ideal_uv", ["u", "v"], "QQ", ideal=["u^2", "v^2"])
+    # mixed fields and shared variable names, for both constructions
+    mismatched = [[qq_xy, gf_uv], [gf_uv, qq_xy], [gf7_s, gf_uv], [qq_xy, qq_uv, gf7_s],
+                  [qq_xy, qq_xz], [qq_xy, qq_uv, qq_xz], [qq_xz, qq_xz]]
+    argvs = []
+    for files in mismatched:
+        for construction in ("connected-sum", "fiber-product"):
+            argvs += [[construction, *files], ["betti", *files, "--construction", construction]]
+    # an ideal where the connected sum needs a dual generator
+    for files in ([qq_xy, ideal_uv], [ideal_uv, qq_xy]):
+        argvs += [["connected-sum", *files], ["betti", *files, "--construction", "connected-sum"]]
+    argvs = [argv + ["--method", method, "--output", output] for argv in argvs
+             for method in ("formula", "oracle", "both") for output in ("text", "machine")]
+    for argv in argvs:
+        code, out, err = run_main(argv, capsys)
+        assert code == 2 and out == "" and err.startswith("error: "), argv
+        assert "Traceback" not in err, argv
+
+    ring = ["x", "y", "z"]
+    j = factor("j", ring, "QQ", ideal=["x*y", "x*z", "y*z"])
+    i = factor("i", ring, "QQ", ideal=["x*y", "x*z", "y*z", "x^3+y^3", "x^3+z^3"])
+    i_gf = factor("i_gf", ring, {"prime": 32003},
+                  ideal=["x*y", "x*z", "y*z", "x^3+y^3", "x^3+z^3"])
+    i_dual = factor("i_dual", ring, "QQ", dual_generator="x^3+y^3+z^3")
+    i_permuted = factor("i_permuted", ring[::-1], "QQ",
+                        ideal=["x*y", "x*z", "y*z", "x^3+y^3", "x^3+z^3"])
+    doubling = [([i, j], 1), ([i_dual, j], 1), ([j, i_gf], 2), ([i_gf, j], 2),
+                ([j, i_permuted], 2), ([j, qq_xy], 2), ([qq_xy, i], 2)]
+    for files, expected in doubling:
+        for output in ("text", "machine"):
+            argv = ["doubling-check", *files, "--output", output]
+            code, out, err = run_main(argv, capsys)
+            assert code == expected, argv
+            assert "Traceback" not in err, argv

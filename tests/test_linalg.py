@@ -394,3 +394,90 @@ def test_slice_reduction_over_a_large_prime_is_exact():
             lengths.add(ncols)
     # both the int64 products and the Python-integer ones were exercised
     assert min(lengths) * (p - 1) ** 2 < 2**63 <= max(lengths) * (p - 1) ** 2
+
+
+# --- QQ on integer rows: fraction-free elimination, cleared products -------
+
+
+def big_rational_rows(rng, nrows, ncols, density):
+    """Numerators up to 10^12 and denominators up to 10^6, with zero and
+    repeated rows."""
+    entry = lambda: Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**6))
+    rows = [[entry() if rng.random() < density else Fraction(0) for _ in range(ncols)]
+            for _ in range(nrows)]
+    rows[rng.randrange(nrows)] = [Fraction(0)] * ncols
+    rows.append([2 * x for x in rows[rng.randrange(nrows)]])
+    return rows
+
+
+def assert_rational_echelon(rows, ncols):
+    ref_rows, ref_piv = rref_reference(QQ, [[QQ.of(x) for x in r] for r in rows], ncols)
+    red, piv = linalg._rref_rational(rows, ncols)
+    assert piv == ref_piv and red.tolist() == ref_rows
+    echelon, rank_piv = linalg._rref_rational(rows, ncols, rank_only=True)
+    assert rank_piv == ref_piv
+    for out in (red, echelon):
+        assert out.shape == (len(ref_piv), ncols) and out.dtype == object
+        assert all(type(x) is Fraction for x in out.flat)
+    # each forward-eliminated row is the RREF row plus later echelon rows
+    for row, c in zip(echelon.tolist(), rank_piv):
+        assert row[c] == 1 and not any(row[:c])
+
+
+def test_rational_engine_matches_reference_on_large_entries():
+    rng = random.Random(29)
+    for nrows, ncols, density in [(8, 8, 1.0), (12, 7, 0.6), (6, 15, 0.4), (15, 15, 0.2)]:
+        assert_rational_echelon(big_rational_rows(rng, nrows, ncols, density), ncols)
+
+
+def test_rational_engine_clears_retired_rows_hit_after_later_pivots():
+    # the first pivot row retires at column 0 with nonzero entries in
+    # columns 1 and 2; the later pivots at 1 and 2 hit it, and it must be
+    # scaled as a whole row, its pivot entry included
+    rows = [[Fraction(3, 7), Fraction(5, 2), Fraction(-4, 9), 1],
+            [0, Fraction(2, 3), Fraction(1, 5), Fraction(-7, 4)],
+            [0, 0, Fraction(11, 13), Fraction(10**12, 999983)],
+            [Fraction(6, 7), 5, Fraction(-8, 9), 2]]
+    assert_rational_echelon(rows, 4)
+    red, piv = linalg._rref_rational(rows, 4)
+    assert piv == [0, 1, 2]
+    assert red[:, :3].tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def test_rational_engine_takes_integer_and_mixed_entries():
+    rows = [[2, Fraction(4, 3), 0], [1, 5, Fraction(1, 2)], [3, Fraction(19, 3), Fraction(1, 2)]]
+    assert_rational_echelon(rows, 3)
+    assert_rational_echelon([[0, 0, 0], [0, 0, 0]], 3)
+
+
+def fraction_product(a, b):
+    """The plain product of `Fraction` object arrays: the reference."""
+    return np.asarray(a, dtype=object) @ np.asarray(b, dtype=object)
+
+
+def rational_array(rng, shape, density=0.5):
+    out = np.empty(shape, dtype=object)
+    for idx in np.ndindex(*shape):
+        kind = rng.random()
+        if kind > density:
+            out[idx] = Fraction(0) if kind > (1 + density) / 2 else 0
+        elif kind < density / 3:
+            out[idx] = rng.randint(-50, 50)
+        else:
+            out[idx] = Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**6))
+    return out
+
+
+def test_rational_matmul_matches_fraction_product():
+    rng = random.Random(31)
+    shapes = [((5,), (5, 4)), ((3, 5), (5, 4)), ((1, 1), (1, 1)), ((6, 2), (2, 7)),
+              ((3, 4, 5), (3, 5, 2)), ((3, 4, 5), (5, 2)), ((0, 3), (3, 2)),
+              ((2, 0), (0, 3)), ((0,), (0, 3)), ((2, 3, 0), (2, 0, 4))]
+    for sa, sb in shapes:
+        for density in (0.0, 0.3, 1.0):
+            a, b = rational_array(rng, sa, density), rational_array(rng, sb, density)
+            got = linalg.matmul(QQ, a, b)
+            want = fraction_product(a, b)
+            assert got.shape == want.shape and got.dtype == object
+            assert all(type(x) is Fraction for x in got.flat)
+            assert got.tolist() == want.tolist()

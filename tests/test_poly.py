@@ -1,10 +1,13 @@
 """Polynomial rings, grevlex monomial order, parsing, joined rings."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gorensum.fields import GF, QQ
-from gorensum.poly import Poly, Ring, embed, joined_ring, parse_poly
+from gorensum.poly import (
+    Poly, Ring, _grevlex_basis, embed, joined_ring, parse_poly, product_table, shift_table,
+)
 
 
 @pytest.fixture
@@ -118,3 +121,29 @@ def test_embed_multiplies_disjointly():
     p = embed(parse_poly(r1, "x^2"), big, 0)
     q = embed(parse_poly(r2, "u^3"), big, 1)
     assert p * q == parse_poly(big, "x^2*u^3")
+
+
+def product_table_by_shifts(n, i, j):
+    """The reference product table: each degree-i monomial applied to the
+    degree-j basis one variable at a time, through `shift_table`."""
+    factors = [[k for k, e in enumerate(m) for _ in range(e)]
+               for m in _grevlex_basis(n, i)]
+    table = np.tile(np.arange(len(_grevlex_basis(n, j))), (len(factors), 1))
+    for t in range(i):
+        table = shift_table(n, j + t)[[[f[t]] for f in factors], table]
+    return table
+
+
+def test_product_table_matches_successive_shifts():
+    for n, i, j in [(0, 0, 0), (1, 0, 0), (1, 5, 3), (2, 3, 4), (3, 4, 4), (3, 0, 5),
+                    (3, 5, 0), (4, 3, 2), (5, 2, 3), (7, 2, 2)]:
+        table = product_table(n, i, j)
+        assert table.dtype == np.intp and not table.flags.writeable
+        assert table.tolist() == product_table_by_shifts(n, i, j).tolist()
+
+
+def test_product_table_past_the_int64_code_range():
+    # 30 variables in base 5 need codes up to 5^30 > 2^63
+    n, i, j = 30, 2, 2
+    assert (i + j + 1) ** n >= 2**63
+    assert product_table(n, i, j).tolist() == product_table_by_shifts(n, i, j).tolist()
