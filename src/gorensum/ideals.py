@@ -24,7 +24,7 @@ from math import comb
 import numpy as np
 
 from . import linalg
-from .poly import Poly, first_variable_table, shift_table
+from .poly import Poly, first_variable_table, product_table
 
 
 class NotArtinianError(Exception):
@@ -128,7 +128,7 @@ class IdealSlices:
         n = ring.nvars
         ncols_up = len(ring.monomial_basis(d + 1))
         # flat targets in the (n, ncols_up) block of one row's products
-        targets = shift_table(n, d) + (np.arange(n) * ncols_up)[:, None]
+        targets = product_table(n, 1, d) + (np.arange(n) * ncols_up)[:, None]
         out = linalg.zeros(ring.field, (len(rows), n * ncols_up))
         out[:, targets] = rows[:, None, :]
         return out.reshape(len(rows) * n, ncols_up)
@@ -176,7 +176,7 @@ class IdealSlices:
         (Q/I)_(d+1) over the quotient monomial bases, as one (n, h_(d+1),
         h_d) array: column i of map k is the normal form of x_k times the
         i-th quotient monomial of degree d."""
-        up = shift_table(self.ring.nvars, d)[:, self.quotient_monomials(d)]
+        up = product_table(self.ring.nvars, 1, d)[:, self.quotient_monomials(d)]
         return self.dual(d + 1)[0][:, up].transpose(1, 0, 2)
 
     def socle(self, d):

@@ -1,9 +1,10 @@
 """Exact dense linear algebra: reduced row echelon form, rank, kernels.
 
 Matrices and echelon forms are 2-D numpy arrays: int64 with entries in
-0..p-1 over GF(p), and `object` arrays of `Fraction` over QQ.  An echelon
-form is the pair (rows, pivot columns), with rows a (rank, ncols) array and
-pivots a list of ints; functions here accept an array or a list of rows.
+0..p-1 over GF(p), and `object` arrays of `Fraction` over QQ (work arrays
+from `zeros` hold the int 0).  An echelon form is the pair (rows, pivot
+columns), with rows a (rank, ncols) array and pivots a list of ints;
+functions here accept an array or a list of rows.
 One kernel, `_eliminate`, does every elimination over both fields: rows
 not yet used as pivots sit at the top, each pivot row retires in place, and
 only the rows hit in the pivot column are updated, from that column on
@@ -47,9 +48,9 @@ class Matrix:
 
 
 def zeros(field, shape):
-    if field.is_prime_field:
-        return np.zeros(shape, dtype=np.int64)
-    return np.full(shape, Fraction(0), dtype=object)
+    """A work array of zeros; over QQ they are the int 0, whose truth test
+    costs no Python call (eliminations and products still return Fractions)."""
+    return np.zeros(shape, dtype=np.int64 if field.is_prime_field else object)
 
 
 def to_array(field, rows, ncols):

@@ -4,8 +4,9 @@ Betti numbers are computed as the homology of the Koszul complex on all the
 ring variables tensored with the quotient algebra, one (homological degree,
 internal degree) slice at a time, by exact rank computations.  Only ranks are
 needed, the complex is finite and explicit for Artinian quotients, and no
-Groebner machinery is involved.  Every differential is assembled from the
-multiplication maps of IdealSlices.multiplication, and every run checks
+Groebner machinery is involved.  Each run reads the multiplication maps of
+IdealSlices.multiplication once per degree, after refusing any differential
+over MAX_KOSZUL_CELLS, then assembles every differential from them, checks
 d^2 = 0 through them (the maps commute) before reading a rank, and the Euler
 characteristic after; a failure raises InternalCheckError.
 """
@@ -26,34 +27,13 @@ class ScaleCapError(Exception):
 
 
 MAX_VARS = 8
+# cells of the largest Koszul differential tor_betti builds
+MAX_KOSZUL_CELLS = 10**7
 
 
 def hilbert_function(algebra: Algebra):
     """Hilbert function through the socle degree; errors if not Artinian."""
     return list(algebra.hilbert_function())
-
-
-class _QuotientArithmetic:
-    """Hilbert function hf of A = Q/I over the scanned degrees and its
-    multiplication maps by the variables, cached per degree."""
-
-    def __init__(self, algebra, hf):
-        self.algebra = algebra
-        self.ring = algebra.ring
-        self.field = algebra.ring.field
-        self.hf = hf
-        self._mult = {}
-
-    def dim(self, d):
-        return self.hf[d] if 0 <= d < len(self.hf) else 0
-
-    def mult_blocks(self, d):
-        """[M, -M] with M[k] the multiplication by x_k from A_d to A_(d+1),
-        one column per basis element of A_d (IdealSlices.multiplication)."""
-        if d not in self._mult:
-            m = self.algebra.slices.multiplication(d)
-            self._mult[d] = np.stack([m, linalg.neg(self.field, m)])
-        return self._mult[d]
 
 
 @functools.lru_cache(maxsize=None)
@@ -72,17 +52,20 @@ def _koszul_pattern(n, i):
     return len(cod_pos), binom(n, i), pattern
 
 
-def _koszul_differential(qa, i, j):
-    """Matrix of d_i : (Lambda^i K^n (x) A)_j -> (Lambda^(i-1) K^n (x) A)_j.
+def _dim(hf, d):
+    return hf[d] if 0 <= d < len(hf) else 0
 
-    Bases: sorted index subsets paired with the quotient basis of A in the
-    complementary internal degree; signs by position parity.
-    """
-    ncod, ndom, (tgt, src, var, odd) = _koszul_pattern(qa.ring.nvars, i)
-    dom_a, cod_a = qa.dim(j - i), qa.dim(j - i + 1)
-    rows = linalg.zeros(qa.field, (ncod, cod_a, ndom, dom_a))
+
+def _koszul_differential(maps, field, hf, n, i, j):
+    """Matrix of d_i : (Lambda^i K^n (x) A)_j -> (Lambda^(i-1) K^n (x) A)_j
+    from maps[d] = [M, -M], M the multiplication maps from A_d.  Bases:
+    sorted index subsets paired with the quotient basis of A in the
+    complementary internal degree; signs by position parity."""
+    ncod, ndom, (tgt, src, var, odd) = _koszul_pattern(n, i)
+    dom_a, cod_a = _dim(hf, j - i), _dim(hf, j - i + 1)
+    rows = linalg.zeros(field, (ncod, cod_a, ndom, dom_a))
     if rows.size:
-        rows[tgt, :, src, :] = qa.mult_blocks(j - i)[odd, var]
+        rows[tgt, :, src, :] = maps[j - i][odd, var]
     return rows.reshape(ncod * cod_a, ndom * dom_a)
 
 
@@ -100,7 +83,7 @@ def tor_betti(algebra: Algebra, max_dim=2000, max_internal_degree=None):
     n = algebra.ring.nvars
     if n > MAX_VARS:
         raise ScaleCapError(f"{n} variables exceeds the cap of {MAX_VARS}")
-    # qa.dim is 0 outside hf: exact past the socle degree, and with
+    # _dim is 0 outside hf: exact past the socle degree, and with
     # max_internal_degree never reached (j <= max_internal_degree, and
     # i >= 1 wherever degree j - i + 1 is read)
     if max_internal_degree is None:
@@ -110,22 +93,30 @@ def tor_betti(algebra: Algebra, max_dim=2000, max_internal_degree=None):
     else:
         hf = algebra.hilbert_values(max_internal_degree + 1)
         jmax = lambda i: max_internal_degree
-    qa = _QuotientArithmetic(algebra, hf)
     if sum(hf) > max_dim:
         raise ScaleCapError(f"dim_K {sum(hf)} exceeds the cap of {max_dim}")
-    _check_commuting(qa)
+    # d_i in internal degree j has C(n, i-1) h_(j-i+1) x C(n, i) h_(j-i) cells
+    cells = max((binom(n, i - 1) * _dim(hf, d + 1) * binom(n, i) * hf[d]
+                 for i in range(1, n + 1) for d in range(len(hf))), default=0)
+    if cells > MAX_KOSZUL_CELLS:
+        raise ScaleCapError(f"the largest Koszul differential has {cells} cells, "
+                            f"over the budget of {MAX_KOSZUL_CELLS}")
+    field = algebra.ring.field
+    maps = [np.stack([m, linalg.neg(field, m)])
+            for m in map(algebra.slices.multiplication, range(len(hf) - 1))]
+    _check_commuting(maps, field, n)
 
     @functools.lru_cache(maxsize=None)
     def drank(i, j):
         if i < 1 or i > n:
             return 0
-        rows = _koszul_differential(qa, i, j)
-        return linalg.rank(linalg.Matrix(qa.field, *rows.shape, rows)) if rows.size else 0
+        rows = _koszul_differential(maps, field, hf, n, i, j)
+        return linalg.rank(linalg.Matrix(field, *rows.shape, rows)) if rows.size else 0
 
     table = BettiTable()
     for i in range(n + 1):
         for j in range(i, jmax(i) + 1):
-            dim_ij = binom(n, i) * qa.dim(j - i)
+            dim_ij = binom(n, i) * _dim(hf, j - i)
             if dim_ij == 0:
                 continue
             b = dim_ij - drank(i, j) - drank(i + 1, j)
@@ -138,16 +129,16 @@ def tor_betti(algebra: Algebra, max_dim=2000, max_internal_degree=None):
     return table
 
 
-def _check_commuting(qa):
+def _check_commuting(maps, field, n):
     """d^2 = 0 on every Koszul differential: the components of d_(i-1) d_i
     are M_l(d+1) M_k(d) - M_k(d+1) M_l(d) for the multiplication maps M_k(d)
-    by x_k from A_d, so d^2 = 0 exactly when M_l(d+1) M_k(d) = M_k(d+1)
-    M_l(d) for all k < l and every d with d + 2 < len(hf)."""
-    k, l = np.triu_indices(qa.ring.nvars, 1)
-    for d in range(len(qa.hf) - 2):
-        m, up = qa.mult_blocks(d)[0], qa.mult_blocks(d + 1)[0]
-        if not np.array_equal(linalg.matmul(qa.field, up[l], m[k]),
-                              linalg.matmul(qa.field, up[k], m[l])):
+    by x_k from A_d (maps[d][0]), so d^2 = 0 exactly when M_l(d+1) M_k(d) =
+    M_k(d+1) M_l(d) for all k < l and every consecutive pair of maps."""
+    k, l = np.triu_indices(n, 1)
+    for d in range(len(maps) - 1):
+        m, up = maps[d][0], maps[d + 1][0]
+        if not np.array_equal(linalg.matmul(field, up[l], m[k]),
+                              linalg.matmul(field, up[k], m[l])):
             raise InternalCheckError(
                 f"d^2 != 0: the multiplication maps from degree {d} do not commute"
             )

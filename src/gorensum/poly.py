@@ -3,16 +3,21 @@
 Monomials are exponent tuples over a fixed ordered variable list.  The
 monomial order is graded reverse lexicographic on the declared variable
 order; every basis, echelon form and generator list downstream inherits its
-determinism from this choice.
+determinism from this choice.  `product_table` is the one index of
+monomial products: multiplication by the variables is its degree-1 case.
 """
 
 import itertools
 import re
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
 from .fields import Field
+
+# exponent entries of the largest monomial basis a ring builds
+MAX_BASIS_CELLS = 10**7
 
 
 class Ring:
@@ -44,11 +49,16 @@ class Ring:
         return len(self.variables)
 
     def monomial_basis(self, d):
-        """All exponent vectors of total degree d, in descending grevlex order."""
+        """All exponent vectors of total degree d, in descending grevlex order;
+        a basis over MAX_BASIS_CELLS exponent entries is refused unbuilt."""
         if d not in self._bases:
             if d < 0:
                 raise ValueError("degree must be nonnegative")
-            self._bases[d] = _grevlex_basis(self.nvars, d)
+            n = self.nvars
+            if n and comb(n - 1 + d, d) * n > MAX_BASIS_CELLS:
+                raise ValueError(f"the degree-{d} monomial basis in {n} variables has "
+                                 f"over {MAX_BASIS_CELLS} exponent entries")
+            self._bases[d] = _grevlex_basis(n, d)
         return self._bases[d]
 
     def monomial_index(self, d):
@@ -108,26 +118,11 @@ def _grevlex_basis(n, d):
 
 
 @lru_cache(maxsize=None)
-def shift_table(n, d):
-    """Multiplication by each variable on the degree-d monomials of n
-    variables: entry [k, i] is the index in the degree-(d+1) basis of x_k
-    times the i-th degree-d monomial.  Read-only; shared by every ring."""
-    basis = _grevlex_basis(n, d)
-    up = {e: j for j, e in enumerate(_grevlex_basis(n, d + 1))}
-    table = np.array(
-        [[up[e[:k] + (e[k] + 1,) + e[k + 1:]] for e in basis] for k in range(n)],
-        dtype=np.intp,
-    ).reshape(n, len(basis))
-    table.flags.writeable = False
-    return table
-
-
-@lru_cache(maxsize=None)
 def first_variable_table(n, d):
     """Per variable x_k, (sources, targets) over the degree-(d+1) monomials
     whose lowest-index variable is x_k: their quotients by x_k, and them."""
     out, free = [], np.ones(len(_grevlex_basis(n, d + 1)), dtype=bool)
-    for row in shift_table(n, d):
+    for row in product_table(n, 1, d):
         src = np.flatnonzero(free[row])
         out.append((src, row[src]))
         free[row] = False
@@ -149,9 +144,8 @@ def product_table(n, i, j):
         basis = _grevlex_basis(n, d)
         return np.array(basis, dtype=dtype).reshape(len(basis), n) @ weights
 
-    target = codes(i + j)
-    order = np.argsort(target)
-    table = order[np.searchsorted(target[order], codes(i)[:, None] + codes(j)[None, :])]
+    # the grevlex basis ascends in these codes, so a code's rank is its index
+    table = np.searchsorted(codes(i + j), codes(i)[:, None] + codes(j)[None, :])
     table.flags.writeable = False
     return table
 

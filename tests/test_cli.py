@@ -283,6 +283,25 @@ def test_catalecticant_budget_is_checked_before_any_is_built(tmp_path, capsys):
     )
 
 
+def test_monomial_basis_budget_is_checked_before_any_is_built(tmp_path, capsys):
+    # in 1,200 variables the degree-2 basis is 720,600 exponent vectors of
+    # 1,200 entries; the dual generator's catalecticants and the ideal's
+    # Hilbert scan both reach it
+    variables = [f"x{k}" for k in range(1200)]
+    for route in ({"dual_generator": "x0*x1"}, {"ideal": ["x0"]}):
+        path = write(tmp_path, "wide.json", {
+            "variables": variables, "field": {"prime": 32003}, **route,
+        })
+        start = time.perf_counter()
+        assert main(["hilbert", path]) == 2
+        assert "the degree-2 monomial basis in 1200 variables has over 10000000" in (
+            capsys.readouterr().err
+        )
+        # the ideal first integrates degree 1, a 1199 x 1200 x 1200 product
+        if "dual_generator" in route:
+            assert time.perf_counter() - start < 2
+
+
 def test_internal_check_failure_exits_3(factor_files, capsys, monkeypatch):
     from gorensum import constructions
 

@@ -481,3 +481,11 @@ def test_rational_matmul_matches_fraction_product():
             assert got.shape == want.shape and got.dtype == object
             assert all(type(x) is Fraction for x in got.flat)
             assert got.tolist() == want.tolist()
+
+
+def test_rational_work_arrays_hold_int_zeros():
+    # a Fraction(0) cell would cost a Python call in every truth test
+    z = linalg.zeros(QQ, (3, 4))
+    assert z.dtype == object and z.shape == (3, 4)
+    assert all(type(x) is int and x == 0 for x in z.flat)
+    assert linalg.zeros(GF(7), (2,)).dtype == np.int64

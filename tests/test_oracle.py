@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -19,9 +20,9 @@ from gorensum.cli import random_dual_factor
 from gorensum.fields import GF, QQ
 from gorensum.ideals import Algebra, IdealSlices, InternalCheckError, NotArtinianError
 from gorensum.oracle import (
+    MAX_KOSZUL_CELLS,
     ScaleCapError,
     _koszul_differential,
-    _QuotientArithmetic,
     socle_basis,
     tor_betti,
 )
@@ -183,22 +184,46 @@ def test_d_squared_check_runs_over_qq(monkeypatch):
         tor_betti(A)
 
 
-def koszul_differential_by_blocks(qa, i, j):
+def test_koszul_budget_is_checked_before_any_differential(monkeypatch):
+    # a generic degree-8 dual generator in 8 variables passes the variable
+    # and dimension caps; d_5 in internal degree 9 would be 8,400 x 18,480
+    A = random_dual_factor(random.Random(1), 8, 8, Fp).algebra
+    assert A.hilbert_function() == (1, 8, 36, 120, 330, 120, 36, 8, 1)
+    real = linalg.zeros
+
+    def refuse(field, shape):
+        if np.prod(shape) > MAX_KOSZUL_CELLS:
+            raise AssertionError(f"{shape} block built")
+        return real(field, shape)
+
+    def unread(self, d):
+        raise AssertionError(f"multiplication({d}) read")
+
+    monkeypatch.setattr(linalg, "zeros", refuse)
+    monkeypatch.setattr(IdealSlices, "multiplication", unread)
+    start = time.perf_counter()
+    with pytest.raises(ScaleCapError, match="has 155232000 cells, over the budget"):
+        tor_betti(A)
+    assert time.perf_counter() - start < 1
+
+
+def koszul_differential_by_blocks(A, hf, i, j):
     """Reference assembly of d_i in degree j: one block per (source subset,
     position), negated at odd positions."""
-    n = qa.ring.nvars
-    f = qa.field
+    n = A.ring.nvars
+    f = A.ring.field
     dom_sets = list(itertools.combinations(range(n), i))
     cod_pos = {s: t for t, s in enumerate(itertools.combinations(range(n), i - 1))}
-    dom_a = qa.dim(j - i)
-    cod_a = qa.dim(j - i + 1)
+    dim = lambda d: hf[d] if 0 <= d < len(hf) else 0
+    dom_a = dim(j - i)
+    cod_a = dim(j - i + 1)
     rows = linalg.zeros(f, (len(cod_pos) * cod_a, len(dom_sets) * dom_a))
     if rows.size == 0:
         return rows
     for sp, s in enumerate(dom_sets):
         for pos, k in enumerate(s):
             block = cod_pos[s[:pos] + s[pos + 1 :]] * cod_a
-            m = qa.algebra.slices.multiplication(j - i)[k]
+            m = A.slices.multiplication(j - i)[k]
             rows[block : block + cod_a, sp * dom_a : (sp + 1) * dom_a] = (
                 linalg.neg(f, m) if pos % 2 else m
             )
@@ -212,11 +237,12 @@ def test_koszul_assembly_matches_block_loop():
         for nvars, degree, _ in itertools.product((1, 2, 3), (2, 3, 4, 5), range(2)):
             A = random_dual_factor(rng, nvars, degree, field).algebra
             hf = list(A.hilbert_function())
-            qa = _QuotientArithmetic(A, hf)
+            maps = [np.stack([m, linalg.neg(field, m)])
+                    for m in map(A.slices.multiplication, range(len(hf) - 1))]
             for i in range(1, nvars + 1):
                 for j in range(i - 1, i + len(hf) + 1):
-                    rows = _koszul_differential(qa, i, j)
-                    ref = koszul_differential_by_blocks(qa, i, j)
+                    rows = _koszul_differential(maps, field, hf, nvars, i, j)
+                    ref = koszul_differential_by_blocks(A, hf, i, j)
                     assert rows.shape == ref.shape
                     assert rows.dtype == ref.dtype
                     assert np.array_equal(rows, ref)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from gorensum.fields import GF, QQ
 from gorensum.poly import (
-    Poly, Ring, _grevlex_basis, embed, joined_ring, parse_poly, product_table, shift_table,
+    Poly, Ring, _grevlex_basis, embed, joined_ring, parse_poly, product_table,
 )
 
 
@@ -123,6 +123,18 @@ def test_embed_multiplies_disjointly():
     assert p * q == parse_poly(big, "x^2*u^3")
 
 
+def shift_table(n, d):
+    """The reference shift table: entry [k, i] is the index in the
+    degree-(d+1) basis of x_k times the i-th degree-d monomial, looked up
+    in a dict of exponent vectors."""
+    up = {e: j for j, e in enumerate(_grevlex_basis(n, d + 1))}
+    basis = _grevlex_basis(n, d)
+    return np.array(
+        [[up[e[:k] + (e[k] + 1,) + e[k + 1:]] for e in basis] for k in range(n)],
+        dtype=np.intp,
+    ).reshape(n, len(basis))
+
+
 def product_table_by_shifts(n, i, j):
     """The reference product table: each degree-i monomial applied to the
     degree-j basis one variable at a time, through `shift_table`."""
@@ -136,7 +148,9 @@ def product_table_by_shifts(n, i, j):
 
 def test_product_table_matches_successive_shifts():
     for n, i, j in [(0, 0, 0), (1, 0, 0), (1, 5, 3), (2, 3, 4), (3, 4, 4), (3, 0, 5),
-                    (3, 5, 0), (4, 3, 2), (5, 2, 3), (7, 2, 2)]:
+                    (3, 5, 0), (4, 3, 2), (5, 2, 3), (7, 2, 2),
+                    # multiplication by the variables
+                    (0, 1, 0), (1, 1, 0), (1, 1, 6), (3, 1, 0), (3, 1, 5), (8, 1, 4)]:
         table = product_table(n, i, j)
         assert table.dtype == np.intp and not table.flags.writeable
         assert table.tolist() == product_table_by_shifts(n, i, j).tolist()
