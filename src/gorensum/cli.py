@@ -121,6 +121,16 @@ def _betti_both(formula, oracle_table, args, hilbert=None):
     return 1
 
 
+def _check_gorenstein_symmetry(table, n, socle_degree):
+    """An oracle table of a Gorenstein algebra is symmetric; this is only a
+    check, and no rank is ever skipped on its account."""
+    if not table.is_symmetric(n, socle_degree):
+        raise InternalCheckError(
+            f"the oracle Betti table of a Gorenstein algebra in {n} variables "
+            f"with socle degree {socle_degree} is not symmetric"
+        )
+
+
 def _load_factors(args):
     override = _parse_field(args.field) if args.field else None
     return [parse_algebra_file(p, override, args.degree_cap) for p in args.files]
@@ -162,6 +172,9 @@ def _construction_tables(kind, factors, args):
         ]
     if args.method != "formula":
         oracle_table = tor_betti(res.presentation, max_dim=args.max_dim)
+        if args.method == "oracle" and kind == "connected-sum":
+            _check_gorenstein_symmetry(oracle_table, res.presentation.ring.nvars,
+                                       res.socle_degree)
     if factor_tables is not None:
         table = formula_fn(factor_tables, res.n_vec, *extra)
     return res, table, oracle_table
@@ -196,6 +209,8 @@ def _cmd_betti(args):
         fac = _load_factors(args)[0]
         table = tor_betti(fac.algebra, max_dim=args.max_dim)
         hf = list(fac.algebra.hilbert_function())
+        if fac.dual is not None:
+            _check_gorenstein_symmetry(table, fac.algebra.ring.nvars, len(hf) - 1)
         _emit(args, [table.render()], _table_payload(table, hf))
         return 0
     if not args.construction:

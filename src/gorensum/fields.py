@@ -81,7 +81,7 @@ class Field:
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.p) if self.p is not None else 1 / a
+        return pow(a, -1, self.p) if self.p is not None else Fraction(1) / a
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

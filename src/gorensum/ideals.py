@@ -222,8 +222,7 @@ def minimal_generators(slices, dmax):
         if len(prev_rows):
             up = slices._multiply_up(d - 1, prev_rows)
             ncols = len(ring.monomial_basis(d))
-            _, piv = linalg._reduce_rows(ring.field, up, ncols, rank_only=True)
-            up_pivots = set(piv)
+            up_pivots = set(linalg.pivot_columns(ring.field, up, ncols))
         rows, piv = slices.slice(d)
         gens.extend(
             Poly.from_vector(ring, d, row)

@@ -339,9 +339,9 @@ def test_annihilator_readers_run_one_elimination_per_degree(monkeypatch):
     # uses; a socle then costs one kernel of the maps already read
     real, calls = linalg._reduce_rows, []
 
-    def counted(field, rows, ncols, rank_only=False):
+    def counted(field, rows, ncols):
         calls.append(ncols)
-        return real(field, rows, ncols, rank_only)
+        return real(field, rows, ncols)
 
     monkeypatch.setattr(linalg, "_reduce_rows", counted)
     for field in (GF(32003), QQ):

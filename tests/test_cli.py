@@ -316,6 +316,36 @@ def test_internal_check_failure_exits_3(factor_files, capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("command", [
+    ["betti", "A"],
+    ["connected-sum", "A", "B", "--method", "oracle"],
+])
+def test_asymmetric_oracle_table_of_a_gorenstein_algebra_exits_3(
+    factor_files, capsys, monkeypatch, command
+):
+    from gorensum import cli
+
+    argv = [{"A": factor_files[0], "B": factor_files[1]}.get(a, a) for a in command]
+    assert main(argv) == 0
+    capsys.readouterr()
+    real = cli.tor_betti
+
+    def skewed(algebra, **kwargs):
+        # one more beta_(2,3) breaks beta_ij = beta_(n-i, e+n-j)
+        table = real(algebra, **kwargs)
+        table.add(2, 3, 1)
+        return table
+
+    monkeypatch.setattr(cli, "tor_betti", skewed)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: internal check failed: the oracle Betti table")
+    assert err[0].endswith("is not symmetric")
+
+
 def test_connected_sum_over_the_largest_31_bit_prime(tmp_path, factor_files, capsys):
     # products over 2^31 - 1 whose int64 sum could overflow are taken in
     # Python integers: the same answer as over GF(32003), not a refusal

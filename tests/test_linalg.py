@@ -61,6 +61,13 @@ def test_rank_can_drop_in_small_characteristic():
     assert linalg.rank(mat(F7, rows)) == 1
 
 
+def test_rational_inverse_and_quotient_of_ints_are_exact():
+    for value in (QQ.inv(3), QQ.div(1, 3), QQ.div(Fraction(2, 3), 2)):
+        assert type(value) is Fraction and value == Fraction(1, 3)
+    assert QQ.inv(Fraction(-2, 5)) == Fraction(-5, 2)
+    assert F7.inv(3) == 5 and F7.div(1, 3) == 5
+
+
 @st.composite
 def random_matrix(draw):
     nrows = draw(st.integers(1, 6))
@@ -297,8 +304,12 @@ def test_array_engine_matches_reference_rref(shaped):
         assert red.shape == (len(ref_piv), ncols)
         assert piv == ref_piv
         assert red.tolist() == ref_rows
-        _, rank_piv = linalg._reduce_rows(field, entries, ncols, rank_only=True)
-        assert rank_piv == ref_piv
+        assert linalg.pivot_columns(field, entries, ncols) == ref_piv
+    # the pivots alone, from unreduced representatives and from QQ rows of
+    # ints, over every size of prime GF accepts
+    for field in (GF(2), F7, Fp, GF(2147483647), QQ):
+        ref_piv = rref_reference(field, [[field.of(x) for x in r] for r in rows], ncols)[1]
+        assert linalg.pivot_columns(field, rows, ncols) == ref_piv
 
 
 def koszul_like_matrix(rng, field, nrows, ncols, density):
@@ -336,16 +347,18 @@ def test_engine_matches_reference_at_koszul_shapes():
             ref_rows, ref_piv = rref_reference(F, rows, ncols)
             assert piv == ref_piv
             assert red.tolist() == ref_rows
-            echelon, rank_piv = linalg._reduce_rows(F, given_rows, ncols, rank_only=True)
-            assert rank_piv == ref_piv
-            for out in (red, echelon):
-                assert out.shape == (len(ref_piv), ncols) and out.flags.c_contiguous
-                if F.is_prime_field:
-                    assert out.dtype == np.int64
-                    assert ((out >= 0) & (out < F.p)).all()
-                else:
-                    assert out.dtype == object
-                    assert all(type(x) is Fraction for x in out.flat)
+            assert red.shape == (len(ref_piv), ncols) and red.flags.c_contiguous
+            if F.is_prime_field:
+                assert red.dtype == np.int64
+                assert ((red >= 0) & (red < F.p)).all()
+            else:
+                assert red.dtype == object
+                assert all(type(x) is Fraction for x in red.flat)
+                # the same rows cleared of their denominators (all divide
+                # lcm(1..12)), as Python ints: the same span, the same pivots
+                given_rows = [[int(x * 27720) for x in r] for r in rows]
+            assert linalg.pivot_columns(F, given_rows, ncols) == ref_piv
+            assert linalg.pivot_columns(F, linalg.to_array(F, rows, ncols), ncols) == ref_piv
 
 
 def reference_slice(ring, gens, d):
@@ -414,14 +427,9 @@ def assert_rational_echelon(rows, ncols):
     ref_rows, ref_piv = rref_reference(QQ, [[QQ.of(x) for x in r] for r in rows], ncols)
     red, piv = linalg._rref_rational(rows, ncols)
     assert piv == ref_piv and red.tolist() == ref_rows
-    echelon, rank_piv = linalg._rref_rational(rows, ncols, rank_only=True)
-    assert rank_piv == ref_piv
-    for out in (red, echelon):
-        assert out.shape == (len(ref_piv), ncols) and out.dtype == object
-        assert all(type(x) is Fraction for x in out.flat)
-    # each forward-eliminated row is the RREF row plus later echelon rows
-    for row, c in zip(echelon.tolist(), rank_piv):
-        assert row[c] == 1 and not any(row[:c])
+    assert red.shape == (len(ref_piv), ncols) and red.dtype == object
+    assert all(type(x) is Fraction for x in red.flat)
+    assert linalg.pivot_columns(QQ, rows, ncols) == ref_piv
 
 
 def test_rational_engine_matches_reference_on_large_entries():

@@ -250,3 +250,25 @@ def test_koszul_assembly_matches_block_loop():
                     nonzero += bool(ref.any())
     assert compared == 936
     assert nonzero > 400
+
+
+@pytest.mark.parametrize("field", [Fp, QQ], ids=["gf", "qq"])
+def test_koszul_ranks_skip_the_dense_kernel(monkeypatch, field):
+    # the README connected sum x^2y^3z^3 # u^4v^4: each of the 40 nonempty
+    # differentials is one linalg.rank, read by pivot_columns; none of them
+    # reaches the dense elimination kernel
+    from gorensum import DualGenerator, Factor, connected_sum_K
+
+    a = Factor.from_dual(DualGenerator(parse_poly(Ring(["x", "y", "z"], field), "x^2*y^3*z^3")))
+    b = Factor.from_dual(DualGenerator(parse_poly(Ring(["u", "v"], field), "u^4*v^4")))
+    algebra = connected_sum_K([a, b]).presentation
+    expected = tor_betti(algebra)  # builds every slice the oracle reads
+    calls = {"rank": 0, "_eliminate": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(linalg, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(linalg, name, counted)
+    assert tor_betti(algebra) == expected
+    assert calls == {"rank": 40, "_eliminate": 0}
