@@ -24,7 +24,7 @@ from math import comb
 import numpy as np
 
 from . import linalg
-from .poly import Poly, first_variable_table, product_table
+from .poly import Poly, first_variable_table, pair_indices, product_table
 
 
 class NotArtinianError(Exception):
@@ -102,7 +102,7 @@ class IdealSlices:
             h = len(prev)
             if not h:
                 return linalg.zeros(f, (0, ncols)), []
-            ks, ls = np.triu_indices(n if d > 1 else 0, 1)
+            ks, ls = pair_indices(n if d > 1 else 0)
             h2 = self.codim(d - 2) if len(ks) else 0
             cons = linalg.zeros(f, (len(ks), h2, n, h))
             if len(ks):

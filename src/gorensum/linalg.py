@@ -21,12 +21,14 @@ divided by its pivot entry only at the end, so the output is the canonical
 RREF as `Fraction`s.
 `pivot_columns` answers every question that needs only the pivots (`rank`,
 the Koszul oracle, minimal generators) by sparse pivot-row elimination on
-rows held as dicts, in Python ints mod p or in `Fraction`s.  The Koszul
-differentials it mostly sees are sparse: on `differential_suite(seed=7,
-count=25)` their 1,467 nonzero matrices are 1.7% nonzero, and a row is
-reduced 1.9 times per pivot found, so the dense kernel's dozen numpy calls
-per pivot cost more than the arithmetic; the sparse kernel takes about half
-the time on those ranks.
+rows held as dicts, in Python ints mod p or in `Fraction`s.  It takes an
+array or a list of rows, or the dict rows {column: nonzero entry}
+themselves, which the Koszul oracle builds from the multiplication maps so
+that no dense matrix is built or scanned; `rank` takes a `Matrix` holding
+either and leaves its pivot columns in `Matrix.pivots`.  The Koszul
+differentials are sparse: on `differential_suite(seed=7, count=25)` they are
+1.7% nonzero, and the dense kernel's dozen numpy calls per pivot cost more
+than the sparse kernel's arithmetic.
 `matmul` over GF(p) sums k products in int64 while that sum stays below
 2^63, and in Python integers past it, so it is exact too; over QQ it clears
 the rows of a and the columns of b of denominators, multiplies once in
@@ -43,16 +45,18 @@ import numpy as np
 
 
 class Matrix:
-    """A 2-D array over an exact field, with its shape: the argument of rref
-    and rank."""
+    """A 2-D array, or a list of dict rows, over an exact field, with its
+    shape: the argument of rref (arrays only) and rank, which leaves the
+    pivot columns in pivots."""
 
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    __slots__ = ("field", "nrows", "ncols", "rows", "pivots")
 
     def __init__(self, field, nrows, ncols, rows=None):
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
         self.rows = zeros(field, (nrows, ncols)) if rows is None else rows
+        self.pivots = None
 
     def __repr__(self):
         return f"Matrix({self.field}, {self.nrows}x{self.ncols})"
@@ -189,34 +193,33 @@ def _rref_rational(rows, ncols):
 
 def pivot_columns(field, rows, ncols):
     """The pivot columns of the reduced echelon form of the matrix given by
-    its rows, ascending, by sparse pivot-row elimination.  Each row, a dict
-    {column: entry}, is reduced by the stored pivot row at its leading
-    column until it is zero or leads at a new pivot, where it is stored
-    scaled to lead 1 (the 1 left implicit).  The pivots of the echelon form
-    do not depend on the order of the rows, so the sparsest go first, which
-    fills in least.  Over GF(p) entries are Python ints, reduced mod p after
-    every update."""
+    its rows, ascending, by sparse pivot-row elimination.  The rows are an
+    array, a list of lists, or a list of dicts {column: nonzero entry} (read,
+    not changed).  Each row is reduced by the stored pivot row at its leading
+    column until it is zero or leads at a new pivot, where it is stored as
+    it stands; a stored row is scaled to lead 1 (the 1 left implicit) only
+    when it first reduces another, and about half never do.  The pivots of
+    the echelon form do not depend on the order of the rows, so the
+    sparsest go first, which fills in least.  Over GF(p) entries are Python
+    ints, reduced mod p after every update."""
     p = field.p
-    m = np.asarray(rows, dtype=object if p is None else np.int64).reshape(len(rows), ncols)
-    r, c = m.nonzero()
-    vals = m[r, c]
-    if p is not None:
-        vals %= p
-        keep = vals != 0
-        r, c, vals = r[keep], c[keep], vals[keep]
-    cuts = [0, *(np.flatnonzero(np.diff(r)) + 1).tolist(), len(r)]
-    c, vals = c.tolist(), vals.tolist()
-    sparse = sorted((dict(zip(c[a:b], vals[a:b])) for a, b in zip(cuts, cuts[1:])), key=len)
+    if isinstance(rows, list) and rows and isinstance(rows[0], dict):
+        sparse = sorted(map(dict, rows), key=len)
+    else:
+        sparse = sorted(_dict_rows(p, rows, ncols), key=len)
     stored = {}
+    unscaled = {}  # the leading entry of each stored row not yet scaled
     for row in sparse:
         while row:
             lead = min(row)
             f = row.pop(lead)
             prow = stored.get(lead)
             if prow is None:
-                inv = field.inv(f)
-                stored[lead] = {k: field.mul(x, inv) for k, x in row.items()}
+                stored[lead], unscaled[lead] = row, f
                 break
+            if lead in unscaled:
+                inv = field.inv(unscaled.pop(lead))
+                prow = stored[lead] = {k: field.mul(x, inv) for k, x in prow.items()}
             for k, x in prow.items():
                 x = row.get(k, 0) - f * x
                 if p is not None:
@@ -228,6 +231,21 @@ def pivot_columns(field, rows, ncols):
     return sorted(stored)
 
 
+def _dict_rows(p, rows, ncols):
+    """The nonzero rows of a 2-D array or list of rows as dicts {column:
+    entry}, entries reduced mod p over GF(p)."""
+    m = np.asarray(rows, dtype=object if p is None else np.int64).reshape(len(rows), ncols)
+    r, c = m.nonzero()
+    vals = m[r, c]
+    if p is not None:
+        vals %= p
+        keep = vals != 0
+        r, c, vals = r[keep], c[keep], vals[keep]
+    cuts = [0, *(np.flatnonzero(np.diff(r)) + 1).tolist(), len(r)]
+    c, vals = c.tolist(), vals.tolist()
+    return [dict(zip(c[a:b], vals[a:b])) for a, b in zip(cuts, cuts[1:])]
+
+
 def rref(matrix):
     """Reduced row echelon form.  Returns (echelon Matrix, pivot columns)."""
     red, piv = _reduce_rows(matrix.field, matrix.rows, matrix.ncols)
@@ -235,7 +253,9 @@ def rref(matrix):
 
 
 def rank(matrix):
-    return len(pivot_columns(matrix.field, matrix.rows, matrix.ncols))
+    """The rank of matrix; its pivot columns are left in matrix.pivots."""
+    matrix.pivots = pivot_columns(matrix.field, matrix.rows, matrix.ncols)
+    return len(matrix.pivots)
 
 
 def kernel_basis(matrix):

@@ -6,11 +6,23 @@ internal degree) slice at a time, by exact rank computations.  Only ranks are
 needed, the complex is finite and explicit for Artinian quotients, and no
 Groebner machinery is involved.  Each run reads the multiplication maps of
 IdealSlices.multiplication once per degree, after refusing any differential
-over MAX_KOSZUL_CELLS, then assembles every differential from them, checks
-d^2 = 0 through them (the maps commute) before reading a rank, and the Euler
-characteristic after; a failure raises InternalCheckError.  Each differential
-is built dense and its rank read by `linalg.rank`, which runs the sparse
-kernel `linalg.pivot_columns`: the differentials are about 2% nonzero.
+over MAX_KOSZUL_CELLS, checks d^2 = 0 through them (the maps commute) before
+reading a rank, and the Euler characteristic after; a failure raises
+InternalCheckError.
+
+The complex splits into strands, one per internal degree j, and each strand
+is ranked from d_n down to d_1.  A differential d_i is never built as a
+matrix: the rows of its transpose, one dict per basis element of the source
+(the differentials are about 2% nonzero), are read from column lists of the
+multiplication maps and ranked by `linalg.rank`, which runs the sparse
+kernel `linalg.pivot_columns`.  Rows are cleared as in persistent homology
+(C. Chen and M. Kerber, "Persistent homology computation with a twist",
+EuroCG 2011): the pivot columns P of d_(i+1)^T index basis elements of the
+source of d_i, and those rows of d_i^T are never built.  That is exact
+because d^2 = 0: for each l in P the reduced echelon form of im d_(i+1)
+holds some b = e_l + (terms off P), and d_i b = 0 makes row l of d_i^T a
+combination of rows off P, so dropping it leaves the rank unchanged.  This
+is why the commuting check runs before the first rank.
 Gorenstein symmetry of the table is checked by the CLI where no formula is
 compared; it is never used to skip a rank, since the oracle is the
 independent side of the formula check.
@@ -24,7 +36,7 @@ import numpy as np
 from . import linalg
 from .betti import BettiTable, binom
 from .ideals import Algebra, InternalCheckError
-from .poly import Poly
+from .poly import Poly, pair_indices
 
 
 class ScaleCapError(Exception):
@@ -32,7 +44,7 @@ class ScaleCapError(Exception):
 
 
 MAX_VARS = 8
-# cells of the largest Koszul differential tor_betti builds
+# cells of the largest Koszul differential tor_betti ranks, counted dense
 MAX_KOSZUL_CELLS = 10**7
 
 
@@ -42,36 +54,80 @@ def hilbert_function(algebra: Algebra):
 
 
 @functools.lru_cache(maxsize=None)
-def _koszul_pattern(n, i):
-    """The numbers of target and source subsets of d_i on Lambda^i K^n, and
-    one (target subset, source subset, variable, position parity) per block,
-    subsets indexed in sorted order."""
-    cod_pos = {s: t for t, s in enumerate(itertools.combinations(range(n), i - 1))}
-    blocks = [
-        (cod_pos[s[:pos] + s[pos + 1 :]], sp, k, pos % 2)
-        for sp, s in enumerate(itertools.combinations(range(n), i))
-        for pos, k in enumerate(s)
-    ]
-    pattern = np.array(blocks, dtype=np.intp).reshape(-1, 4).T
-    pattern.flags.writeable = False  # the cache hands it to every caller
-    return len(cod_pos), binom(n, i), pattern
+def _koszul_faces(n, i):
+    """Per i-subset S of range(n), in sorted order, its faces (t, k, odd):
+    S without k is the t-th (i-1)-subset, and odd is k's position parity in
+    S, which signs the face in d_i."""
+    index = {s: t for t, s in enumerate(itertools.combinations(range(n), i - 1))}
+    return tuple(
+        tuple((index[s[:pos] + s[pos + 1:]], k, pos % 2) for pos, k in enumerate(s))
+        for s in itertools.combinations(range(n), i)
+    )
 
 
 def _dim(hf, d):
     return hf[d] if 0 <= d < len(hf) else 0
 
 
-def _koszul_differential(maps, field, hf, n, i, j):
-    """Matrix of d_i : (Lambda^i K^n (x) A)_j -> (Lambda^(i-1) K^n (x) A)_j
-    from maps[d] = [M, -M], M the multiplication maps from A_d.  Bases:
-    sorted index subsets paired with the quotient basis of A in the
-    complementary internal degree; signs by position parity."""
-    ncod, ndom, (tgt, src, var, odd) = _koszul_pattern(n, i)
-    dom_a, cod_a = _dim(hf, j - i), _dim(hf, j - i + 1)
-    rows = linalg.zeros(field, (ncod, cod_a, ndom, dom_a))
-    if rows.size:
-        rows[tgt, :, src, :] = maps[j - i][odd, var]
-    return rows.reshape(ncod * cod_a, ndom * dom_a)
+def _columns(field, m):
+    """The multiplication maps m = (M_k) from A_d as column lists: entry
+    [odd][k][a] lists the pairs (b, +-M_k[b, a]) of column a of M_k where it
+    is nonzero, negated when odd."""
+    n, _, h = m.shape
+    ks, srcs, tgts = m.transpose(0, 2, 1).nonzero()
+    vals = m[ks, tgts, srcs].tolist()
+    cols = [[[[] for _ in range(h)] for _ in range(n)] for _ in range(2)]
+    for k, a, b, v in zip(ks.tolist(), srcs.tolist(), tgts.tolist(), vals):
+        cols[0][k][a].append((b, v))
+        cols[1][k][a].append((b, field.neg(v)))
+    return cols
+
+
+def _koszul_rows(cols, hf, n, i, j, cleared=()):
+    """The nonzero rows of d_i^T in internal degree j, as {index: row}: one
+    dict per basis element (S, a) of Lambda^i K^n (x) A_(j-i), at index s *
+    h_(j-i) + a for S the s-th i-subset, skipping the indices in cleared.
+    Row (S, a) is d_i(e_S (x) a), the sum over the faces (t, k, odd) of S of
+    +-(e_T (x) x_k a), whose entries sit at t * h_(j-i+1) + b for the basis
+    elements b of A_(j-i+1); cols holds the column lists of the maps from
+    A_(j-i) (see _columns)."""
+    h, h1 = _dim(hf, j - i), _dim(hf, j - i + 1)
+    rows = {}
+    for s, faces in enumerate(_koszul_faces(n, i)):
+        for a in range(h):
+            index = s * h + a
+            if index in cleared:
+                continue
+            row = {}
+            for t, k, odd in faces:
+                off = t * h1
+                for b, v in cols[odd][k][a]:
+                    row[off + b] = v
+            if row:
+                rows[index] = row
+    return rows
+
+
+def _koszul_ranks(field, maps, hf, n, jtop):
+    """{(i, j): rank of d_i in internal degree j} for every nonempty d_i with
+    j <= jtop, read by `linalg.rank` on the rows of d_i^T, strand by strand
+    from d_n down to d_1.  Within a strand the rows of d_i^T at the pivot
+    columns of d_(i+1)^T are cleared: they are never built, and the rank is
+    unchanged because d^2 = 0 (see the module docstring)."""
+    cols = [_columns(field, m) for m in maps]
+    ranks = {}
+    for j in range(1, jtop + 1):
+        cleared = ()
+        for i in range(n, 0, -1):
+            ncols = binom(n, i - 1) * _dim(hf, j - i + 1)
+            if not ncols or not _dim(hf, j - i):
+                cleared = ()
+                continue
+            rows = list(_koszul_rows(cols[j - i], hf, n, i, j, cleared).values())
+            matrix = linalg.Matrix(field, len(rows), ncols, rows)
+            ranks[i, j] = linalg.rank(matrix)
+            cleared = set(matrix.pivots)
+    return ranks
 
 
 def tor_betti(algebra: Algebra, max_dim=2000, max_internal_degree=None):
@@ -80,8 +136,8 @@ def tor_betti(algebra: Algebra, max_dim=2000, max_internal_degree=None):
     Non-Artinian quotients are supported when max_internal_degree bounds the
     internal degrees to scan (it must be at least the regularity for the
     table to be complete).  Every run first checks d^2 = 0 (see
-    _check_commuting), and is cross-checked against the Euler
-    characteristic identity
+    _check_commuting), on which the clearing of _koszul_ranks rests, and is
+    cross-checked against the Euler characteristic identity
     sum_i (-1)^i sum_j beta_ij s^j = HF_A(s) * (1-s)^n, degreewise over the
     scanned range.
     """
@@ -107,16 +163,9 @@ def tor_betti(algebra: Algebra, max_dim=2000, max_internal_degree=None):
         raise ScaleCapError(f"the largest Koszul differential has {cells} cells, "
                             f"over the budget of {MAX_KOSZUL_CELLS}")
     field = algebra.ring.field
-    maps = [np.stack([m, linalg.neg(field, m)])
-            for m in map(algebra.slices.multiplication, range(len(hf) - 1))]
+    maps = [algebra.slices.multiplication(d) for d in range(len(hf) - 1)]
     _check_commuting(maps, field, n)
-
-    @functools.lru_cache(maxsize=None)
-    def drank(i, j):
-        if i < 1 or i > n:
-            return 0
-        rows = _koszul_differential(maps, field, hf, n, i, j)
-        return linalg.rank(linalg.Matrix(field, *rows.shape, rows)) if rows.size else 0
+    ranks = _koszul_ranks(field, maps, hf, n, jmax(n))
 
     table = BettiTable()
     for i in range(n + 1):
@@ -124,7 +173,7 @@ def tor_betti(algebra: Algebra, max_dim=2000, max_internal_degree=None):
             dim_ij = binom(n, i) * _dim(hf, j - i)
             if dim_ij == 0:
                 continue
-            b = dim_ij - drank(i, j) - drank(i + 1, j)
+            b = dim_ij - ranks.get((i, j), 0) - ranks.get((i + 1, j), 0)
             if b < 0:
                 raise InternalCheckError(f"negative homology rank at ({i},{j})")
             if b:
@@ -137,11 +186,11 @@ def tor_betti(algebra: Algebra, max_dim=2000, max_internal_degree=None):
 def _check_commuting(maps, field, n):
     """d^2 = 0 on every Koszul differential: the components of d_(i-1) d_i
     are M_l(d+1) M_k(d) - M_k(d+1) M_l(d) for the multiplication maps M_k(d)
-    by x_k from A_d (maps[d][0]), so d^2 = 0 exactly when M_l(d+1) M_k(d) =
+    by x_k from A_d (maps[d][k]), so d^2 = 0 exactly when M_l(d+1) M_k(d) =
     M_k(d+1) M_l(d) for all k < l and every consecutive pair of maps."""
-    k, l = np.triu_indices(n, 1)
+    k, l = pair_indices(n)
     for d in range(len(maps) - 1):
-        m, up = maps[d][0], maps[d + 1][0]
+        m, up = maps[d], maps[d + 1]
         if not np.array_equal(linalg.matmul(field, up[l], m[k]),
                               linalg.matmul(field, up[k], m[l])):
             raise InternalCheckError(

@@ -118,6 +118,15 @@ def _grevlex_basis(n, d):
 
 
 @lru_cache(maxsize=None)
+def pair_indices(n):
+    """(ks, ls): the pairs of variable indices k < l, as np.triu_indices(n,
+    1).  Read-only; shared by every caller."""
+    ks, ls = np.triu_indices(n, 1)
+    ks.flags.writeable = ls.flags.writeable = False
+    return ks, ls
+
+
+@lru_cache(maxsize=None)
 def first_variable_table(n, d):
     """Per variable x_k, (sources, targets) over the degree-(d+1) monomials
     whose lowest-index variable is x_k: their quotients by x_k, and them."""

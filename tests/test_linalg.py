@@ -359,6 +359,14 @@ def test_engine_matches_reference_at_koszul_shapes():
                 given_rows = [[int(x * 27720) for x in r] for r in rows]
             assert linalg.pivot_columns(F, given_rows, ncols) == ref_piv
             assert linalg.pivot_columns(F, linalg.to_array(F, rows, ncols), ncols) == ref_piv
+            # the nonzero rows as dicts, as the Koszul oracle gives them: the
+            # same pivots, and the dicts are left as they were
+            dict_rows = [{c: x for c, x in enumerate(r) if x} for r in rows]
+            dict_rows = [r for r in dict_rows if r]
+            before = [dict(r) for r in dict_rows]
+            matrix = linalg.Matrix(F, len(dict_rows), ncols, dict_rows)
+            assert linalg.rank(matrix) == len(ref_piv) and matrix.pivots == ref_piv
+            assert dict_rows == before
 
 
 def reference_slice(ring, gens, d):

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -17,12 +18,15 @@ import gorensum
 from gorensum import linalg
 from gorensum.betti import BettiTable, betti_socle2, cross_ideal_multi_table
 from gorensum.cli import random_dual_factor
+from gorensum.constructions import connected_sum_K, fiber_product_K
 from gorensum.fields import GF, QQ
 from gorensum.ideals import Algebra, IdealSlices, InternalCheckError, NotArtinianError
 from gorensum.oracle import (
     MAX_KOSZUL_CELLS,
     ScaleCapError,
-    _koszul_differential,
+    _columns,
+    _koszul_ranks,
+    _koszul_rows,
     socle_basis,
     tor_betti,
 )
@@ -179,9 +183,14 @@ def test_d_squared_check_runs_over_qq(monkeypatch):
             m[2] = m[2] * Fraction(3, 2)
         return m
 
+    ranks = []
+    real_rank = linalg.rank
     monkeypatch.setattr(IdealSlices, "multiplication", skewed)
+    monkeypatch.setattr(linalg, "rank", lambda m: ranks.append(m) or real_rank(m))
     with pytest.raises(InternalCheckError, match="from degree 1 do not"):
         tor_betti(A)
+    # the clearing of the ranks rests on d^2 = 0, so no rank is read first
+    assert ranks == []
 
 
 def test_koszul_budget_is_checked_before_any_differential(monkeypatch):
@@ -231,44 +240,88 @@ def koszul_differential_by_blocks(A, hf, i, j):
 
 
 def test_koszul_assembly_matches_block_loop():
+    # the dict rows of d_i^T, made dense and transposed, are the reference
+    # differential, cell for cell
     rng = random.Random(11)
     compared = nonzero = 0
     for field in (GF(7), Fp, QQ):
         for nvars, degree, _ in itertools.product((1, 2, 3), (2, 3, 4, 5), range(2)):
             A = random_dual_factor(rng, nvars, degree, field).algebra
             hf = list(A.hilbert_function())
-            maps = [np.stack([m, linalg.neg(field, m)])
-                    for m in map(A.slices.multiplication, range(len(hf) - 1))]
+            cols = [_columns(field, A.slices.multiplication(d)) for d in range(len(hf))]
             for i in range(1, nvars + 1):
                 for j in range(i - 1, i + len(hf) + 1):
-                    rows = _koszul_differential(maps, field, hf, nvars, i, j)
                     ref = koszul_differential_by_blocks(A, hf, i, j)
-                    assert rows.shape == ref.shape
-                    assert rows.dtype == ref.dtype
-                    assert np.array_equal(rows, ref)
+                    rows = _koszul_rows(cols[j - i] if 0 <= j - i < len(hf) else None,
+                                        hf, nvars, i, j)
+                    dense = linalg.zeros(field, ref.shape[::-1])
+                    for r, row in rows.items():
+                        assert all(row.values())
+                        dense[r, list(row)] = list(row.values())
+                    assert np.array_equal(dense.T, ref)
                     compared += 1
                     nonzero += bool(ref.any())
     assert compared == 936
     assert nonzero > 400
 
 
+@pytest.mark.parametrize("field", [GF(7), Fp, QQ], ids=["gf7", "gf32003", "qq"])
+def test_cleared_ranks_equal_ranks_of_the_full_rows(monkeypatch, field):
+    # every (i, j) of random fiber products and connected sums, and of one
+    # non-Artinian quotient scanned to a degree bound: clearing the rows at
+    # the pivots of the differential above changes no rank
+    rng = random.Random(23)
+    cases = []
+    for n_vec, degree in (((2, 1), 3), ((1, 2), 4), ((2, 2), 3)):
+        factors = [random_dual_factor(rng, n, degree, field, prefix=f"v{k}_")
+                   for k, n in enumerate(n_vec)]
+        cases += [(fiber_product_K(factors).presentation, None),
+                  (connected_sum_K(factors).presentation, None)]
+    cases.append((algebra(["x", "y", "z"], ["x*y", "x*z", "y*z"], field), 4))
+    real = linalg.rank
+    fed = []
+    monkeypatch.setattr(linalg, "rank", lambda m: fed.append(m.nrows) or real(m))
+    full_rows = 0
+    for A, cap in cases:
+        n = A.ring.nvars
+        hf = list(A.hilbert_function()) if cap is None else A.hilbert_values(cap + 1)
+        jtop = n + len(hf) - 1 if cap is None else cap
+        maps = [A.slices.multiplication(d) for d in range(len(hf) - 1)]
+        full = {}
+        for j in range(1, jtop + 1):
+            for i in range(1, n + 1):
+                ncols = math.comb(n, i - 1) * (hf[j - i + 1] if 0 <= j - i + 1 < len(hf) else 0)
+                if ncols and 0 <= j - i < len(hf) - 1:
+                    rows = _koszul_rows(_columns(field, maps[j - i]), hf, n, i, j)
+                    full[i, j] = len(linalg.pivot_columns(field, list(rows.values()), ncols))
+                    full_rows += len(rows)
+        assert _koszul_ranks(field, maps, hf, n, jtop) == full
+    assert 0 < sum(fed) < full_rows
+
+
 @pytest.mark.parametrize("field", [Fp, QQ], ids=["gf", "qq"])
 def test_koszul_ranks_skip_the_dense_kernel(monkeypatch, field):
     # the README connected sum x^2y^3z^3 # u^4v^4: each of the 40 nonempty
     # differentials is one linalg.rank, read by pivot_columns; none of them
-    # reaches the dense elimination kernel
+    # reaches the dense elimination kernel, no work array is allocated, and
+    # clearing feeds 1,127 of the 1,627 nonzero rows of the transposed
+    # differentials
     from gorensum import DualGenerator, Factor, connected_sum_K
 
     a = Factor.from_dual(DualGenerator(parse_poly(Ring(["x", "y", "z"], field), "x^2*y^3*z^3")))
     b = Factor.from_dual(DualGenerator(parse_poly(Ring(["u", "v"], field), "u^4*v^4")))
     algebra = connected_sum_K([a, b]).presentation
     expected = tor_betti(algebra)  # builds every slice the oracle reads
-    calls = {"rank": 0, "_eliminate": 0}
+    calls = {"rank": 0, "_eliminate": 0, "zeros": 0}
+    fed = []
     for name in calls:
         def counted(*args, _real=getattr(linalg, name), _name=name):
             calls[_name] += 1
+            if _name == "rank":
+                fed.append(args[0].nrows)
             return _real(*args)
 
         monkeypatch.setattr(linalg, name, counted)
     assert tor_betti(algebra) == expected
-    assert calls == {"rank": 40, "_eliminate": 0}
+    assert calls == {"rank": 40, "_eliminate": 0, "zeros": 0}
+    assert sum(fed) == 1127

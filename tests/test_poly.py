@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from gorensum.fields import GF, QQ
 from gorensum.poly import (
-    Poly, Ring, _grevlex_basis, embed, joined_ring, parse_poly, product_table,
+    Poly, Ring, _grevlex_basis, embed, joined_ring, pair_indices, parse_poly,
+    product_table,
 )
 
 
@@ -161,3 +162,14 @@ def test_product_table_past_the_int64_code_range():
     n, i, j = 30, 2, 2
     assert (i + j + 1) ** n >= 2**63
     assert product_table(n, i, j).tolist() == product_table_by_shifts(n, i, j).tolist()
+
+
+def test_pair_indices_are_shared_and_read_only():
+    for n in range(6):
+        ks, ls = pair_indices(n)
+        ref_k, ref_l = np.triu_indices(n, 1)
+        assert ks.tolist() == ref_k.tolist() and ls.tolist() == ref_l.tolist()
+        assert pair_indices(n)[0] is ks
+        for a in (ks, ls):
+            with pytest.raises(ValueError):
+                a[:1] = 0
