@@ -96,15 +96,13 @@ def hilbert_from_catalecticants(F: DualGenerator):
 def dual_socle(F: DualGenerator) -> Poly:
     """Canonical homogeneous sigma of degree d with sigma o F = 1.
 
-    This represents the Thom class of the projection Q/Ann(F) -> K; the
-    echelon-canonical solution (free coordinates zero) pins the choice.
+    This represents the Thom class of the projection Q/Ann(F) -> K.  It is
+    m_c / F_c for the first monomial m_c of F in the basis order: the
+    echelon solution (free coordinates zero) of catalecticant(F, d) sigma = 1.
     """
-    ring = F.ring
-    m = catalecticant(F, F.d)
-    x = linalg.solve_particular(m, [ring.field.one])
-    if x is None:
-        raise ValueError("dual generator is degenerate")  # cannot happen: F != 0
-    return Poly.from_vector(ring, F.d, x.tolist())
+    ring, terms = F.ring, F.F.terms
+    c = min(terms, key=ring.monomial_index(F.d).__getitem__)
+    return Poly(ring, {c: ring.field.inv(terms[c])})
 
 
 def socle_and_thom_to_K(A: Algebra, F: DualGenerator) -> Poly:

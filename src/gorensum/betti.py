@@ -1,5 +1,7 @@
 """Graded Betti tables and the closed-form formulas for fiber products and
-connected sums over the base field.
+connected sums over the base field.  A connected sum's table is the
+fiber-product table below strand e (the socle degree), plus the Poincare
+dual of the cross-ideal table.
 
 Everything here is pure integer arithmetic on (homological degree, internal
 degree) tables; no polynomials are touched.  Binomial conventions: C(a,b) = 0
@@ -116,19 +118,9 @@ class BettiTable:
         return f"BettiTable({self.entries})"
 
 
-def betti_cross_ideal(m, n, i):
-    """beta_{i,i+1} of Q/(x cap y) for variable blocks of sizes m and n."""
-    if i < 1:
-        raise ValueError("homological degree must be >= 1")
-    return binom(m + n, i + 1) - binom(m, i + 1) - binom(n, i + 1)
-
-
 def cross_ideal_table(m, n):
     """Full Betti table of Q/(x cap y): a 2-linear strand plus (0,0)."""
-    t = BettiTable({(0, 0): 1})
-    for i in range(1, m + n):
-        t.add(i, i + 1, betti_cross_ideal(m, n, i))
-    return t
+    return cross_ideal_multi_table((m, n))
 
 
 def betti_cross_ideal_multi(n_vec, t):
@@ -144,6 +136,7 @@ def betti_cross_ideal_multi(n_vec, t):
 
 
 def cross_ideal_multi_table(n_vec):
+    """Full Betti table of Q modulo the cross products of the blocks."""
     t = BettiTable({(0, 0): 1})
     for i in range(1, sum(n_vec)):
         t.add(i, i + 1, betti_cross_ideal_multi(n_vec, i))
@@ -177,51 +170,37 @@ def _validate_factor_tables(tables):
 
 def betti_fiber_product_K(tables, n_vec):
     """Betti table of the r-factor fiber product over K from the factor
-    tables (each over its own polynomial ring with n_vec[k] variables)."""
+    tables (each over its own polynomial ring with n_vec[k] variables): the
+    cross-ideal table plus each reduced factor table, inflated."""
     if len(tables) != len(n_vec) or len(tables) < 2:
         raise ValueError("one factor table per variable block, at least two")
     _validate_factor_tables(tables)
-    big = sum(n_vec)
-    out = BettiTable({(0, 0): 1})
+    out = cross_ideal_multi_table(n_vec)
     for t, nk in zip(tables, n_vec):
-        inflated = inflate_betti(t, big - nk, reduced=True)
-        for (i, j), c in inflated.entries.items():
+        for (i, j), c in inflate_betti(t, sum(n_vec) - nk, reduced=True).entries.items():
             out.add(i, j, c)
-    for i in range(1, big):
-        out.add(i, i + 1, betti_cross_ideal_multi(n_vec, i))
     return out
 
 
 def betti_connected_sum_K(tables, n_vec, e):
     """Betti table of the r-factor connected sum over K with common socle
-    degree e >= 3.
-
-    Per the closed-form result: the fiber-product entries in the strands
-    j - i <= e - 2, a reflected copy of the 2-linear cross strand at
-    j = i + e - 1, the top socle entry (N, e+N), and nothing at or beyond
-    strand e otherwise.  At e = 3 the two cross strands land in adjacent
-    bands and merge additively.
-    """
+    degree e >= 3: the fiber-product table below strand e (its (0,0) entry
+    and strands 1..e-1), plus the Poincare dual of the cross-ideal table,
+    which is the cross strand reflected to j = i + e - 1 and the top socle
+    entry (N, e+N)."""
     if e < 3:
         raise ValueError(
             "socle degree must be >= 3; use betti_socle2 or the Koszul oracle"
         )
-    if len(tables) != len(n_vec) or len(tables) < 2:
-        raise ValueError("one factor table per variable block, at least two")
-    _validate_factor_tables(tables)
-    big = sum(n_vec)
+    # the fiber product checks the blocks and the factor tables first
+    fiber = betti_fiber_product_K(tables, n_vec)
     for k, (t, nk) in enumerate(zip(tables, n_vec)):
         if not t.is_symmetric(nk, e) or t.get(nk, e + nk) != 1:
             raise ValueError(f"factor {k}: not Gorenstein")
-    out = BettiTable({(0, 0): 1, (big, e + big): 1})
-    for t, nk in zip(tables, n_vec):
-        inflated = inflate_betti(t, big - nk, reduced=True)
-        for (i, j), c in inflated.entries.items():
-            if i + 1 <= j <= i + e - 1:
-                out.add(i, j, c)
-    for i in range(1, big):
-        out.add(i, i + 1, betti_cross_ideal_multi(n_vec, i))
-        out.add(i, i + e - 1, betti_cross_ideal_multi(n_vec, big - i))
+    out = BettiTable(poincare_dualize(cross_ideal_multi_table(n_vec).entries, sum(n_vec), e))
+    for (i, j), c in fiber.entries.items():
+        if (i, j) == (0, 0) or 0 < j - i < e:
+            out.add(i, j, c)
     return out
 
 

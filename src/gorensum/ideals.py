@@ -91,32 +91,35 @@ class IdealSlices:
         c_k E_(d-1) and the degree-d generators kill it.  Such a Lambda
         exists for c = (c_k) exactly when c_k T_l = c_l T_k for k < l, T_l
         being x_l o E_(d-1) on Q_(d-2), the multiplication by x_l from
-        A_(d-2) to A_(d-1) transposed."""
+        A_(d-2) to A_(d-1) transposed.  Every Lambda of degree <= 1
+        integrates when h_0 = 1, so only the generators cut those down."""
         f = self.ring.field
         n = self.ring.nvars
         ncols = len(self.ring.monomial_basis(d))
-        if d == 0:
-            lam = linalg.to_array(f, [[f.one]], 1)
-        else:
-            prev = self._slices[d - 1][0]
-            h = len(prev)
-            if not h:
-                return linalg.zeros(f, (0, ncols)), []
-            ks, ls = pair_indices(n if d > 1 else 0)
-            h2 = self.codim(d - 2) if len(ks) else 0
-            cons = linalg.zeros(f, (len(ks), h2, n, h))
-            if len(ks):
-                T = self.multiplication(d - 2).transpose(0, 2, 1)
-                at = np.arange(len(ks))
-                cons[at, :, ks], cons[at, :, ls] = T[ls], linalg.neg(f, T[ks])
-            c = linalg.kernel_rows(f, cons.reshape(len(ks) * h2, n * h), n * h)
-            # each monomial is filled once, from its first variable (all agree)
-            lam = linalg.zeros(f, (len(c), ncols))
-            for k, (src, dst) in enumerate(first_variable_table(n, d - 1)):
-                lam[:, dst] = linalg.matmul(f, c[:, k * h:(k + 1) * h], prev[:, src])
+        if d and not len(self._slices[d - 1][0]):
+            return linalg.zeros(f, (0, ncols)), []
         gens = self._gens_by_degree.get(d)
         if gens:
             g = linalg.to_array(f, [g.coefficient_vector(d) for g in gens], ncols)
+        if d <= 1:
+            if gens:
+                return canonical(f, linalg.kernel_rows(f, g, ncols), ncols)
+            return canonical(f, linalg.to_array(f, np.identity(ncols, dtype=int), ncols), ncols)
+        prev = self._slices[d - 1][0]
+        h = len(prev)
+        ks, ls = pair_indices(n)
+        h2 = len(self._slices[d - 2][0])
+        cons = linalg.zeros(f, (len(ks), h2, n, h))
+        if len(ks):
+            T = self.multiplication(d - 2).transpose(0, 2, 1)
+            at = np.arange(len(ks))
+            cons[at, :, ks], cons[at, :, ls] = T[ls], linalg.neg(f, T[ks])
+        c = linalg.kernel_rows(f, cons.reshape(len(ks) * h2, n * h), n * h)
+        # each monomial is filled once, from its first variable (all agree)
+        lam = linalg.zeros(f, (len(c), ncols))
+        for k, (src, dst) in enumerate(first_variable_table(n, d - 1)):
+            lam[:, dst] = linalg.matmul(f, c[:, k * h:(k + 1) * h], prev[:, src])
+        if gens:
             kill = linalg.kernel_rows(f, linalg.matmul(f, g, lam.T), len(lam))
             lam = linalg.matmul(f, kill, lam)
         return canonical(f, lam, ncols)

@@ -17,7 +17,6 @@ from gorensum.apolarity import DualGenerator, annihilator_slices
 from gorensum.betti import (
     BettiTable,
     betti_connected_sum_K,
-    betti_cross_ideal,
     betti_cross_ideal_multi,
     betti_fiber_product_K,
     betti_socle2,
@@ -238,7 +237,7 @@ def test_6_doubling_certificates():
 
 def test_7_closed_form_unit_identities():
     with timed("7 closed-form unit identities", 10):
-        assert [betti_cross_ideal(3, 2, i) for i in range(1, 5)] == [6, 9, 5, 1]
+        assert [betti_cross_ideal_multi((3, 2), i) for i in range(1, 5)] == [6, 9, 5, 1]
         assert [betti_cross_ideal_multi((1, 1, 1), t) for t in (1, 2)] == [3, 2]
         socle2 = betti_socle2(3)
         assert sum(c for (i, j), c in socle2.items() if i == 1) == 5

@@ -124,6 +124,30 @@ def test_dual_socle_pairs_to_one():
         assert sigma.degree() == F.d
 
 
+def test_dual_socle_is_the_canonical_solution_of_the_one_row_system():
+    # reference: the echelon-canonical solution of catalecticant(F, d) x = 1
+    rng = random.Random(5)
+    for field in (GF(2), GF(7), GF(32003), QQ):
+        for _ in range(150):
+            r = Ring(["x", "y", "z"][: rng.randint(1, 3)], field)
+            d = rng.randint(1, 5)
+            terms = {}
+            while not terms:
+                for e in r.monomial_basis(d):
+                    if rng.random() < 0.4:
+                        c = field.of(f"{rng.randint(-20, 20)}/{rng.choice((1, 3, 5))}")
+                        if c:
+                            terms[e] = c
+            F = DualGenerator(Poly(r, terms))
+            x = linalg.solve_particular(catalecticant(F, F.d), [field.one])
+            expected = Poly.from_vector(r, F.d, x.tolist())
+            sigma = dual_socle(F)
+            assert sigma == expected
+            assert [type(c) for c in sigma.terms.values()] == [
+                type(c) for c in expected.terms.values()
+            ]
+
+
 def test_socle_and_thom_requires_gorenstein():
     r = Ring(["x", "y"], QQ)
     F = DualGenerator(parse_poly(r, "x^2*y^2"))

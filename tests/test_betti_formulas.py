@@ -1,13 +1,14 @@
 """Closed-form Betti tables: cross ideals, inflation, fiber products,
 connected sums, socle-degree-2 tables, Poincare dualization."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gorensum.betti import (
     BettiTable,
     betti_connected_sum_K,
-    betti_cross_ideal,
     betti_cross_ideal_multi,
     betti_fiber_product_K,
     betti_socle2,
@@ -32,13 +33,7 @@ def ci_table(degrees):
 
 
 def test_cross_ideal_values_3_2():
-    assert [betti_cross_ideal(3, 2, i) for i in range(1, 5)] == [6, 9, 5, 1]
-
-
-def test_cross_ideal_two_blocks_vs_multi():
-    for m, n in [(1, 1), (2, 1), (3, 2), (4, 3)]:
-        for i in range(1, m + n):
-            assert betti_cross_ideal(m, n, i) == betti_cross_ideal_multi((m, n), i)
+    assert [betti_cross_ideal_multi((3, 2), i) for i in range(1, 5)] == [6, 9, 5, 1]
 
 
 def test_cross_ideal_multi_1_1_1():
@@ -183,3 +178,119 @@ def test_table_round_trip_and_diff():
     other.add(1, 2, 1)
     d = t.diff(other)
     assert d == [(1, 2, t.get(1, 2), t.get(1, 2) + 1)]
+
+
+# The two formulas written out term by term, with their own inflation and
+# cross-strand loops: the reference for the forms built from the blocks.
+
+
+def _validate_reference(tables):
+    for k, t in enumerate(tables):
+        if t.get(0, 0) != 1:
+            raise ValueError(f"factor {k}: missing (0,0) entry")
+        if t.get(1, 1):
+            raise ValueError(f"factor {k}: ideal contains linear forms")
+
+
+def reference_fiber_product(tables, n_vec):
+    if len(tables) != len(n_vec) or len(tables) < 2:
+        raise ValueError("one factor table per variable block, at least two")
+    _validate_reference(tables)
+    big = sum(n_vec)
+    out = BettiTable({(0, 0): 1})
+    for t, nk in zip(tables, n_vec):
+        inflated = inflate_betti(t, big - nk, reduced=True)
+        for (i, j), c in inflated.entries.items():
+            out.add(i, j, c)
+    for i in range(1, big):
+        out.add(i, i + 1, betti_cross_ideal_multi(n_vec, i))
+    return out
+
+
+def reference_connected_sum(tables, n_vec, e):
+    if e < 3:
+        raise ValueError(
+            "socle degree must be >= 3; use betti_socle2 or the Koszul oracle"
+        )
+    if len(tables) != len(n_vec) or len(tables) < 2:
+        raise ValueError("one factor table per variable block, at least two")
+    _validate_reference(tables)
+    big = sum(n_vec)
+    for k, (t, nk) in enumerate(zip(tables, n_vec)):
+        if not t.is_symmetric(nk, e) or t.get(nk, e + nk) != 1:
+            raise ValueError(f"factor {k}: not Gorenstein")
+    out = BettiTable({(0, 0): 1, (big, e + big): 1})
+    for t, nk in zip(tables, n_vec):
+        inflated = inflate_betti(t, big - nk, reduced=True)
+        for (i, j), c in inflated.entries.items():
+            if i + 1 <= j <= i + e - 1:
+                out.add(i, j, c)
+    for i in range(1, big):
+        out.add(i, i + 1, betti_cross_ideal_multi(n_vec, i))
+        out.add(i, i + e - 1, betti_cross_ideal_multi(n_vec, big - i))
+    return out
+
+
+def random_factor_table(rng, n, e):
+    """A table passing the factor checks and Gorenstein symmetry: (0,0) and
+    (n, n+e) are 1, (1,1) is 0, and the other entries come in mirrored pairs
+    (i, j), (n-i, n+e-j), on strands -1..e+1."""
+    fixed = {(0, 0), (n, n + e), (1, 1), (n - 1, n + e - 1)}
+    entries = {(0, 0): 1, (n, n + e): 1}
+    for _ in range(rng.randint(0, 6)):
+        i = rng.randint(0, n)
+        j = i + rng.randint(-1, e + 1)
+        mirror = (n - i, n + e - j)
+        if (i, j) in fixed or min(j, mirror[1]) < 0:
+            continue
+        c = rng.randint(1, 3)
+        entries[(i, j)] = entries[mirror] = c
+    return BettiTable(entries)
+
+
+def spoil(rng, tables, n_vec, e):
+    """Inputs that one of the checks refuses, or that may pass them all;
+    returns (tables, n_vec)."""
+    k = rng.randrange(len(tables))
+    entries = dict(tables[k].entries)
+    kind = rng.randrange(6)
+    if kind == 0:
+        entries[(0, 0)] = 2
+    elif kind == 1:
+        entries[(1, 1)] = rng.randint(1, 2)
+    elif kind == 2:
+        entries[(rng.randint(1, n_vec[k]), rng.randint(2, 9))] = 5
+    elif kind == 3:
+        entries[(n_vec[k], n_vec[k] + e)] = 2
+    elif kind == 4:
+        return tables[:1], n_vec[:1]
+    else:
+        return tables, n_vec + (1,)
+    return tables[:k] + [BettiTable(entries)] + tables[k + 1:], n_vec
+
+
+def outcome(formula, *args):
+    try:
+        return formula(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_formulas_match_the_term_by_term_reference():
+    rng = random.Random(23)
+    refused = 0
+    for _ in range(10000):
+        n_vec = tuple(rng.randint(1, 4) for _ in range(rng.choice((2, 3))))
+        e = rng.randint(3, 6)
+        tables = [random_factor_table(rng, nk, e) for nk in n_vec]
+        if rng.random() < 0.2:
+            tables, n_vec = spoil(rng, tables, n_vec, e)
+        if rng.random() < 0.05:
+            e = rng.randint(1, 2)
+        fiber = outcome(betti_fiber_product_K, tables, n_vec)
+        assert fiber == outcome(reference_fiber_product, tables, n_vec)
+        connected = outcome(betti_connected_sum_K, tables, n_vec, e)
+        assert connected == outcome(reference_connected_sum, tables, n_vec, e)
+        refused += isinstance(connected, str)
+    # the refusals are a share, not all, of the draws
+    assert 1000 < refused < 5000
