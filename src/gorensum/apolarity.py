@@ -7,16 +7,15 @@ and therefore works unchanged in any characteristic.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Optional
-
-import numpy as np
 
 from . import linalg
 # minimal_generators is unused here; perfbench/test_perfbench.py reads it
 from .ideals import Algebra, IdealSlices, canonical, minimal_generators  # noqa: F401
 from .linalg import Matrix
-from .poly import Poly, product_table
+from .poly import Poly
 
 # cells of the largest catalecticant annihilator_slices builds
 MAX_CATALECTICANT_CELLS = 10**7
@@ -56,28 +55,43 @@ class DualGenerator:
 
 def catalecticant(F: DualGenerator, i: int) -> Matrix:
     """Matrix of f |-> f o F from Q_i to Q'_(d-i), over the monomial bases:
-    entry (e, a) is the coefficient of F at the product of e and a."""
+    entry (e, a) is the coefficient of F at the product of e and a.  It is
+    read from F's terms: each term t gives the entry (t/a, a) for every
+    degree-i divisor a of t, so its cost follows F's support."""
     if not 0 <= i <= F.d:
         raise ValueError(f"degree {i} outside 0..{F.d}")
-    fld, vec = F.ring.field, F.F.coefficient_vector(F.d)
-    rows = linalg.to_array(fld, [vec], len(vec))[0][product_table(F.ring.nvars, F.d - i, i)]
-    return Matrix(fld, *rows.shape, rows)
+    ring = F.ring
+    row_index, col_index = ring.monomial_index(F.d - i), ring.monomial_index(i)
+    rows = [{} for _ in row_index]
+    for t, c in F.F.terms.items():
+        for a, e in _divisors(t, i):
+            rows[row_index[e]][col_index[a]] = c
+    return Matrix(ring.field, len(rows), len(col_index), rows)
+
+
+@lru_cache(maxsize=None)
+def _divisors(t, i):
+    """The pairs (a, t/a) of exponent vectors, a of degree i dividing t."""
+    if not t:
+        return (((), ()),) if i == 0 else ()
+    return tuple(((k,) + a, (t[0] - k,) + e)
+                 for k in range(min(t[0], i) + 1) for a, e in _divisors(t[1:], i - k))
 
 
 def annihilator_slices(F: DualGenerator) -> IdealSlices:
     """Slices of Ann(F): its inverse system in degree i is spanned by the
-    contractions of F by the monomials of degree d-i, the columns of that
-    catalecticant, and is 0 past the socle degree d.  A catalecticant over
-    MAX_CATALECTICANT_CELLS is refused before any is built."""
+    contractions of F by the monomials of degree d-i, the rows of
+    catalecticant(F, i), and is 0 past the socle degree d, which needs no
+    basis.  A catalecticant over MAX_CATALECTICANT_CELLS is refused before
+    any is built."""
     n, d = F.ring.nvars, F.d
     cells = max(comb(n - 1 + i, i) * comb(n - 1 + d - i, d - i) for i in range(d + 1))
     if cells > MAX_CATALECTICANT_CELLS:
         raise ValueError(f"the largest catalecticant has {cells} cells, "
                          f"over the budget of {MAX_CATALECTICANT_CELLS}")
     fld, basis = F.ring.field, F.ring.monomial_basis
-    duals = [canonical(fld, catalecticant(F, F.d - i).rows.T, len(basis(i)))
-             for i in range(F.d + 1)]
-    duals.append((linalg.zeros(fld, (0, len(basis(F.d + 1)))), []))
+    duals = [canonical(fld, catalecticant(F, i).rows, len(basis(i))) for i in range(d + 1)]
+    duals.append(([], []))
     return IdealSlices.from_duals(F.ring, duals)
 
 
@@ -153,8 +167,8 @@ def _cs_conditions(F, G, tau, ann_f, ann_g):
         raise ValueError("tau must be homogeneous and nonzero")
 
     fld, basis = F.ring.field, F.ring.monomial_basis
-    stacks = [np.concatenate([ann_f.dual(i)[0], ann_g.dual(i)[0]]) for i in range(F.d + 2)]
-    sums = [canonical(fld, s, len(basis(i))) for i, s in enumerate(stacks)]
+    sums = [canonical(fld, ann_f.dual(i)[0] + ann_g.dual(i)[0], len(basis(i)))
+            for i in range(F.d + 2)]
     tF, tG = contract(tau, F.F), contract(tau, G.F)
     cond_a = (not tF.is_zero()) and tF == tG
     if tau.degree() == 0:

@@ -184,14 +184,12 @@ def betti_fiber_product_K(tables, n_vec):
 
 def betti_connected_sum_K(tables, n_vec, e):
     """Betti table of the r-factor connected sum over K with common socle
-    degree e >= 3: the fiber-product table below strand e (its (0,0) entry
+    degree e >= 2: the fiber-product table below strand e (its (0,0) entry
     and strands 1..e-1), plus the Poincare dual of the cross-ideal table,
     which is the cross strand reflected to j = i + e - 1 and the top socle
-    entry (N, e+N)."""
-    if e < 3:
-        raise ValueError(
-            "socle degree must be >= 3; use betti_socle2 or the Koszul oracle"
-        )
+    entry (N, e+N).  At e = 2 both land on strand 1."""
+    if e < 2:
+        raise ValueError("socle degree must be >= 2; use the Koszul oracle")
     # the fiber product checks the blocks and the factor tables first
     fiber = betti_fiber_product_K(tables, n_vec)
     for k, (t, nk) in enumerate(zip(tables, n_vec)):
@@ -205,13 +203,13 @@ def betti_connected_sum_K(tables, n_vec, e):
 
 
 def betti_socle2(n):
-    """Betti table of the socle-degree-2 AG algebra with h-vector (1, n, 1)."""
+    """Betti table of the socle-degree-2 AG algebra with h-vector (1, n, 1):
+    the connected sum of n copies of K[x]/(x^3), whose table is {(0,0): 1,
+    (1,3): 1}, as every such algebra's table depends on n alone."""
     if n < 1:
         raise ValueError("need at least one variable")
-    t = BettiTable({(0, 0): 1, (n, n + 2): 1})
-    for i in range(1, n):
-        t.add(i, i + 1, i * binom(n, i + 1) + (n - i) * binom(n, n - i + 1))
-    return t
+    cubic = BettiTable({(0, 0): 1, (1, 3): 1})
+    return cubic if n == 1 else betti_connected_sum_K([cubic] * n, (1,) * n, 2)
 
 
 def poincare_dualize(p, n, e):

@@ -134,7 +134,8 @@ def doubling_certificate(J: Algebra, I: Algebra) -> DoublingCertificate:
     contained = True
     for d in range(dmax + 1):
         # J_d lies in I_d exactly when (I^perp)_d lies in (J^perp)_d
-        if reduce_vector(J.ring.field, *J.slices.dual(d), I.slices.dual(d)[0]).any():
+        rows, piv = J.slices.dual(d)
+        if any(reduce_vector(J.ring.field, rows, piv, v) for v in I.slices.dual(d)[0]):
             contained = False
             reasons["containment"] = f"J is not contained in I in degree {d}"
             break

@@ -29,9 +29,8 @@ class Field:
     def __init__(self, p=None):
         if p is not None:
             p = int(p)
-            # the int64 elimination engine keeps entries in 0..p-1, so its
-            # largest intermediate is (p-1)^2 + p - 1: below this cap every
-            # elimination is exact; this also keeps trial division short
+            # arithmetic on Python ints is exact for any p; the cap keeps
+            # the trial division below short
             if p > 1 and (p - 1) ** 2 + p >= 2**63:
                 raise ValueError(f"{p} is too large: GF(p) needs (p-1)^2 + p < 2^63")
             if not _is_prime(p):

@@ -4,14 +4,16 @@ Every ideal in scope cuts out an Artinian or 1-dimensional quotient, so a
 finite list of graded slices suffices; no Groebner machinery is needed.
 Slice d is the inverse system (I^perp)_d = {Lambda in Q'_d : g o Lambda = 0
 for g in I_d} under contraction, stored in the one canonical form (E_d, Q_d)
-of `canonical`: h_d = dim (Q/I)_d rows over the N_d degree-d monomials, a
-2-D numpy array as in `linalg`.  Equal ideals have equal slices.  The pivots
-Q_d are the quotient monomials and column c of E_d is the normal form of the
+of `canonical`: h_d = dim (Q/I)_d dict rows over the N_d degree-d
+monomials, as in `linalg`.  Equal ideals have equal slices.  The pivots Q_d
+are the quotient monomials and column c of E_d is the normal form of the
 c-th monomial over them, which multiplication, socles, reduction, membership
-and the echelon form of I_d all read, at O(N_d h_d^2) per degree.
-`multiplication(d)` is the one reading of all n maps A_d -> A_(d+1); the
-integration, socles and the Koszul oracle use it, and every oracle run
-checks that these maps commute, which is d^2 = 0 on the Koszul complex.
+and the echelon form of I_d all read, at a cost set by the nonzero entries
+of E_d.  A zero slice is ([], []), and past one no basis is read.
+`multiplication(d)` is the one reading of all n maps A_d -> A_(d+1), column
+by column; the integration, socles and the Koszul oracle use it, and every
+oracle run checks that these maps commute, which is d^2 = 0 on the Koszul
+complex.
 
 An IdealSlices is built from generators, integrating E_d from E_(d-1)
 (Mourrain's integration method), or from slices given in degrees 0..top
@@ -20,8 +22,6 @@ are then the canonical minimal generators, read off on first use.
 """
 
 from math import comb
-
-import numpy as np
 
 from . import linalg
 from .poly import Poly, first_variable_table, pair_indices, product_table
@@ -39,11 +39,16 @@ DEFAULT_DEGREE_CAP = 64
 
 
 def canonical(field, rows, ncols):
-    """(E, Q): the reduced echelon form of the span of rows, scanning its
-    columns right to left: Q lists the pivots ascending, E[:, Q] is the
-    identity and each row of E is zero right of its pivot."""
-    red, piv = linalg._reduce_rows(field, rows[:, ::-1], ncols)
-    return np.ascontiguousarray(red[::-1, ::-1]), [ncols - 1 - c for c in reversed(piv)]
+    """(E, Q): the reduced echelon form of the span of the dict rows,
+    scanning its columns right to left: Q lists the pivots ascending, E is
+    the identity at Q and each row of E is zero right of its pivot."""
+    top = ncols - 1
+    red, piv = linalg._reduce_rows(field, [_mirror(top, row) for row in rows], ncols)
+    return [_mirror(top, row) for row in reversed(red)], [top - c for c in reversed(piv)]
+
+
+def _mirror(top, row):
+    return {top - c: x for c, x in row.items()}
 
 
 class IdealSlices:
@@ -92,67 +97,73 @@ class IdealSlices:
         exists for c = (c_k) exactly when c_k T_l = c_l T_k for k < l, T_l
         being x_l o E_(d-1) on Q_(d-2), the multiplication by x_l from
         A_(d-2) to A_(d-1) transposed.  Every Lambda of degree <= 1
-        integrates when h_0 = 1, so only the generators cut those down."""
+        integrates when h_0 = 1, so only the generators cut those down.
+        Past a zero slice the slice is zero, and no basis is read."""
         f = self.ring.field
         n = self.ring.nvars
+        if d and not self._slices[d - 1][0]:
+            return [], []
         ncols = len(self.ring.monomial_basis(d))
-        if d and not len(self._slices[d - 1][0]):
-            return linalg.zeros(f, (0, ncols)), []
-        gens = self._gens_by_degree.get(d)
-        if gens:
-            g = linalg.to_array(f, [g.coefficient_vector(d) for g in gens], ncols)
+        g = [g.coefficient_vector(d) for g in self._gens_by_degree.get(d, ())]
         if d <= 1:
-            if gens:
+            if g:
                 return canonical(f, linalg.kernel_rows(f, g, ncols), ncols)
-            return canonical(f, linalg.to_array(f, np.identity(ncols, dtype=int), ncols), ncols)
+            return canonical(f, [{c: f.one} for c in range(ncols)], ncols)
         prev = self._slices[d - 1][0]
         h = len(prev)
-        ks, ls = pair_indices(n)
-        h2 = len(self._slices[d - 2][0])
-        cons = linalg.zeros(f, (len(ks), h2, n, h))
-        if len(ks):
-            T = self.multiplication(d - 2).transpose(0, 2, 1)
-            at = np.arange(len(ks))
-            cons[at, :, ks], cons[at, :, ls] = T[ls], linalg.neg(f, T[ks])
-        c = linalg.kernel_rows(f, cons.reshape(len(ks) * h2, n * h), n * h)
-        # each monomial is filled once, from its first variable (all agree)
-        lam = linalg.zeros(f, (len(c), ncols))
-        for k, (src, dst) in enumerate(first_variable_table(n, d - 1)):
-            lam[:, dst] = linalg.matmul(f, c[:, k * h:(k + 1) * h], prev[:, src])
-        if gens:
-            kill = linalg.kernel_rows(f, linalg.matmul(f, g, lam.T), len(lam))
-            lam = linalg.matmul(f, kill, lam)
+        # row (k, l, a): c_k T_l - c_l T_k at the a-th quotient monomial of
+        # degree d-2, the unknowns c_k at columns k*h..(k+1)*h-1
+        maps = self.multiplication(d - 2)
+        cons = [
+            {**{k * h + b: x for b, x in maps[l][a].items()},
+             **{l * h + b: f.neg(x) for b, x in maps[k][a].items()}}
+            for k, l in zip(*pair_indices(n))
+            for a in range(len(self._slices[d - 2][0]))
+        ]
+        c = linalg.kernel_rows(f, cons, n * h)
+        # c_k E_(d-1) is read at the monomials whose first variable is x_k
+        # (all variables agree), so each monomial is filled once
+        lifts = [
+            {t: x for s, x in row.items() if (t := targets[s]) is not None}
+            for targets in first_variable_table(n, d - 1)
+            for row in prev
+        ]
+        lam = linalg.matmul(f, c, lifts)
+        if g:
+            pairing = linalg.matmul(f, g, linalg.transpose(lam, ncols))
+            lam = linalg.matmul(f, linalg.kernel_rows(f, pairing, len(lam)), lam)
         return canonical(f, lam, ncols)
 
     def _multiply_up(self, d, rows):
-        """Vectors of x_k * (degree-d rows) inside degree d+1, one per row
-        and variable (row-major), as one array."""
+        """Vectors of x_k * (degree-d dict rows) inside degree d+1, one per
+        row and variable (row-major)."""
         ring = self.ring
-        n = ring.nvars
-        ncols_up = len(ring.monomial_basis(d + 1))
-        # flat targets in the (n, ncols_up) block of one row's products
-        targets = product_table(n, 1, d) + (np.arange(n) * ncols_up)[:, None]
-        out = linalg.zeros(ring.field, (len(rows), n * ncols_up))
-        out[:, targets] = rows[:, None, :]
-        return out.reshape(len(rows) * n, ncols_up)
+        ring.monomial_basis(d + 1)  # the budget, before the table is built
+        table = product_table(ring.nvars, 1, d)
+        return [{up[c]: x for c, x in row.items()} for row in rows for up in table]
 
     def dual(self, d):
         """Canonical form (E_d, Q_d) of (I^perp)_d (see `canonical`)."""
         self.ensure(d)
         return self._slices[d]
 
+    def _normal_forms(self, d):
+        """Per degree-d monomial, its normal form over the quotient monomials
+        Q_d: the columns of E_d, as dict rows {position in Q_d: entry}."""
+        return linalg.transpose(self.dual(d)[0], len(self.ring.monomial_basis(d)))
+
     def slice(self, d):
         """Canonical reduced echelon form (rows, pivots) of I_d: the row
         pivoted at a monomial is that monomial minus its normal form."""
         f = self.ring.field
-        nf, q = self.dual(d)
-        piv = np.ones(nf.shape[1], dtype=bool)
-        piv[q] = False
-        piv = np.flatnonzero(piv)
-        rows = linalg.zeros(f, (len(piv), nf.shape[1]))
-        rows[np.arange(len(piv)), piv] = f.one
-        rows[:, q] = linalg.neg(f, nf[:, piv].T)
-        return rows, piv.tolist()
+        q = self.quotient_monomials(d)
+        quotient = set(q)
+        rows, piv = [], []
+        for c, nf in enumerate(self._normal_forms(d)):
+            if c not in quotient:
+                rows.append({c: f.one, **{q[b]: f.neg(x) for b, x in nf.items()}})
+                piv.append(c)
+        return rows, piv
 
     def codim(self, d):
         return len(self.dual(d)[0])
@@ -165,29 +176,33 @@ class IdealSlices:
         return self.dual(d)[1]
 
     def reduce(self, d, vec):
-        """Normal form of vec (or of each row of a 2-D vec) modulo I_d, over
-        all degree-d monomials (zero off the quotient monomials)."""
+        """Normal form of the dict row vec modulo I_d, over all degree-d
+        monomials (zero off the quotient monomials)."""
         f = self.ring.field
         nf, q = self.dual(d)
-        v = np.array(vec, dtype=nf.dtype)
-        out = linalg.zeros(f, v.shape)
-        out[..., q] = linalg.matmul(f, v, nf.T)
+        out = {}
+        for c, row in zip(q, nf):
+            x = f.of(sum(v * vec.get(j, 0) for j, v in row.items()))
+            if x:
+                out[c] = x
         return out
 
     def multiplication(self, d):
         """The multiplications by x_0, ..., x_(n-1) from (Q/I)_d to
-        (Q/I)_(d+1) over the quotient monomial bases, as one (n, h_(d+1),
-        h_d) array: column i of map k is the normal form of x_k times the
-        i-th quotient monomial of degree d."""
-        up = product_table(self.ring.nvars, 1, d)[:, self.quotient_monomials(d)]
-        return self.dual(d + 1)[0][:, up].transpose(1, 0, 2)
+        (Q/I)_(d+1) over the quotient monomial bases, by columns: entry
+        [k][i] is the normal form of x_k times the i-th quotient monomial of
+        degree d, a dict row over the quotient monomials of degree d+1.
+        The rows are shared: read, not changed."""
+        nf = self._normal_forms(d + 1)
+        q = self.quotient_monomials(d)
+        return tuple([nf[up[a]] for a in q] for up in product_table(self.ring.nvars, 1, d))
 
     def socle(self, d):
         """Basis of the degree-d elements of Q/I killed by every variable,
-        as the rows of an array over the quotient monomials of degree d."""
-        m = self.multiplication(d)
-        n, h1, h = m.shape
-        return linalg.kernel_rows(self.ring.field, m.reshape(n * h1, h), h)
+        as dict rows over the quotient monomials of degree d."""
+        h1 = self.codim(d + 1)
+        rows = [row for m in self.multiplication(d) for row in linalg.transpose(m, h1)]
+        return linalg.kernel_rows(self.ring.field, rows, self.codim(d))
 
     def contains(self, poly):
         if poly.is_zero():
@@ -195,7 +210,7 @@ class IdealSlices:
         if not poly.is_homogeneous():
             raise ValueError("membership test requires a homogeneous polynomial")
         d = poly.degree()
-        return not self.reduce(d, poly.coefficient_vector(d)).any()
+        return not self.reduce(d, poly.coefficient_vector(d))
 
 
 def ideal_slices(ring, generators, dmax):
@@ -219,17 +234,15 @@ def minimal_generators(slices, dmax):
     """
     ring = slices.ring
     gens = []
+    ring.monomial_basis(dmax)  # the largest basis read, against the budget first
     prev_rows = slices.slice(0)[0]
     for d in range(1, dmax + 1):
-        up_pivots = set()
-        if len(prev_rows):
-            up = slices._multiply_up(d - 1, prev_rows)
-            ncols = len(ring.monomial_basis(d))
-            up_pivots = set(linalg.pivot_columns(ring.field, up, ncols))
+        up = slices._multiply_up(d - 1, prev_rows)
+        up_pivots = set(linalg.pivot_columns(ring.field, up, len(ring.monomial_basis(d))))
         rows, piv = slices.slice(d)
         gens.extend(
             Poly.from_vector(ring, d, row)
-            for row, c in zip(rows.tolist(), piv)
+            for row, c in zip(rows, piv)
             if c not in up_pivots
         )
         prev_rows = rows

@@ -6,16 +6,16 @@ internal degree) slice at a time, by exact rank computations.  Only ranks are
 needed, the complex is finite and explicit for Artinian quotients, and no
 Groebner machinery is involved.  Each run reads the multiplication maps of
 IdealSlices.multiplication once per degree, after refusing any differential
-over MAX_KOSZUL_CELLS, checks d^2 = 0 through them (the maps commute) before
-reading a rank, and the Euler characteristic after; a failure raises
-InternalCheckError.
+over MAX_KOSZUL_CELLS, checks d^2 = 0 through them (the maps commute, which
+is checked on their sparse columns) before reading a rank, and the Euler
+characteristic after; a failure raises InternalCheckError.
 
 The complex splits into strands, one per internal degree j, and each strand
 is ranked from d_n down to d_1.  A differential d_i is never built as a
 matrix: the rows of its transpose, one dict per basis element of the source
-(the differentials are about 2% nonzero), are read from column lists of the
-multiplication maps and ranked by `linalg.rank`, which runs the sparse
-kernel `linalg.pivot_columns`.  Rows are cleared as in persistent homology
+(the differentials are about 2% nonzero), are read straight from the
+columns of the multiplication maps and ranked by `linalg.rank`, the forward
+pass of the one sparse kernel.  Rows are cleared as in persistent homology
 (C. Chen and M. Kerber, "Persistent homology computation with a twist",
 EuroCG 2011): the pivot columns P of d_(i+1)^T index basis elements of the
 source of d_i, and those rows of d_i^T are never built.  That is exact
@@ -30,8 +30,6 @@ independent side of the formula check.
 
 import functools
 import itertools
-
-import numpy as np
 
 from . import linalg
 from .betti import BettiTable, binom
@@ -73,14 +71,8 @@ def _columns(field, m):
     """The multiplication maps m = (M_k) from A_d as column lists: entry
     [odd][k][a] lists the pairs (b, +-M_k[b, a]) of column a of M_k where it
     is nonzero, negated when odd."""
-    n, _, h = m.shape
-    ks, srcs, tgts = m.transpose(0, 2, 1).nonzero()
-    vals = m[ks, tgts, srcs].tolist()
-    cols = [[[[] for _ in range(h)] for _ in range(n)] for _ in range(2)]
-    for k, a, b, v in zip(ks.tolist(), srcs.tolist(), tgts.tolist(), vals):
-        cols[0][k][a].append((b, v))
-        cols[1][k][a].append((b, field.neg(v)))
-    return cols
+    return ([[list(col.items()) for col in mk] for mk in m],
+            [[[(b, field.neg(v)) for b, v in col.items()] for col in mk] for mk in m])
 
 
 def _koszul_rows(cols, hf, n, i, j, cleared=()):
@@ -188,11 +180,12 @@ def _check_commuting(maps, field, n):
     are M_l(d+1) M_k(d) - M_k(d+1) M_l(d) for the multiplication maps M_k(d)
     by x_k from A_d (maps[d][k]), so d^2 = 0 exactly when M_l(d+1) M_k(d) =
     M_k(d+1) M_l(d) for all k < l and every consecutive pair of maps."""
-    k, l = pair_indices(n)
     for d in range(len(maps) - 1):
         m, up = maps[d], maps[d + 1]
-        if not np.array_equal(linalg.matmul(field, up[l], m[k]),
-                              linalg.matmul(field, up[k], m[l])):
+        # column a of M_l(d+1) M_k(d) is the combination of the columns of
+        # M_l(d+1) by column a of M_k(d): a row of matmul on the columns
+        if any(linalg.matmul(field, m[k], up[l]) != linalg.matmul(field, m[l], up[k])
+               for k, l in zip(*pair_indices(n))):
             raise InternalCheckError(
                 f"d^2 != 0: the multiplication maps from degree {d} do not commute"
             )
@@ -227,6 +220,6 @@ def socle_basis(algebra: Algebra):
     for d in range(len(algebra.hilbert_function())):
         basis = ring.monomial_basis(d)
         qd = slices.quotient_monomials(d)
-        for v in slices.socle(d).tolist():
-            out.append(Poly(ring, {basis[m]: c for c, m in zip(v, qd) if c}))
+        for v in slices.socle(d):
+            out.append(Poly(ring, {basis[qd[m]]: c for m, c in v.items()}))
     return out

@@ -3,16 +3,19 @@
 Monomials are exponent tuples over a fixed ordered variable list.  The
 monomial order is graded reverse lexicographic on the declared variable
 order; every basis, echelon form and generator list downstream inherits its
-determinism from this choice.  `product_table` is the one index of
-monomial products: multiplication by the variables is its degree-1 case.
+determinism from this choice.  A vector over the degree-d monomials is a
+dict row {basis index: nonzero coefficient}, as everywhere in `linalg`.
+`product_table` is the one index of monomial products: multiplication by
+the variables is its degree-1 case.  It and the other index tables are
+cached tuples of ints, shared by every ring.
 """
 
 import itertools
+import operator
 import re
 from functools import lru_cache
 from math import comb
 
-import numpy as np
 
 from .fields import Field
 
@@ -119,44 +122,40 @@ def _grevlex_basis(n, d):
 
 @lru_cache(maxsize=None)
 def pair_indices(n):
-    """(ks, ls): the pairs of variable indices k < l, as np.triu_indices(n,
-    1).  Read-only; shared by every caller."""
-    ks, ls = np.triu_indices(n, 1)
-    ks.flags.writeable = ls.flags.writeable = False
-    return ks, ls
+    """(ks, ls): the pairs of variable indices k < l, in lexicographic
+    order, as two tuples.  Shared by every caller."""
+    pairs = list(itertools.combinations(range(n), 2))
+    return tuple(k for k, _ in pairs), tuple(l for _, l in pairs)
 
 
 @lru_cache(maxsize=None)
 def first_variable_table(n, d):
-    """Per variable x_k, (sources, targets) over the degree-(d+1) monomials
-    whose lowest-index variable is x_k: their quotients by x_k, and them."""
-    out, free = [], np.ones(len(_grevlex_basis(n, d + 1)), dtype=bool)
-    for row in product_table(n, 1, d):
-        src = np.flatnonzero(free[row])
-        out.append((src, row[src]))
-        free[row] = False
-    return tuple(out)
+    """Per variable x_k, a tuple over the degree-d monomials m: the index of
+    x_k * m in the degree-(d+1) basis when x_k is the lowest-index variable
+    of x_k * m, else None, so that each degree-(d+1) monomial is reached
+    once."""
+    basis = _grevlex_basis(n, d)
+    return tuple(
+        tuple(None if any(e[:k]) else t for e, t in zip(basis, row))
+        for k, row in enumerate(product_table(n, 1, d))
+    )
 
 
 @lru_cache(maxsize=None)
 def product_table(n, i, j):
-    """Products of monomials in n variables: entry [r, c] is the index in
+    """Products of monomials in n variables: entry [r][c] is the index in
     the degree-(i+j) basis of the r-th degree-i monomial times the c-th
-    degree-j monomial.  Read-only; shared by every ring."""
+    degree-j monomial, as a tuple of tuples shared by every ring."""
     # an exponent vector read in base i+j+1 has no carries up to degree
     # i+j, so the code of a product is the sum of the codes of its factors
-    base = i + j + 1
-    dtype = np.int64 if base**n < 2**63 else object
-    weights = np.array([base**k for k in range(n)], dtype=dtype)
+    weights = [(i + j + 1) ** k for k in range(n)]
 
     def codes(d):
-        basis = _grevlex_basis(n, d)
-        return np.array(basis, dtype=dtype).reshape(len(basis), n) @ weights
+        return [sum(map(operator.mul, e, weights)) for e in _grevlex_basis(n, d)]
 
-    # the grevlex basis ascends in these codes, so a code's rank is its index
-    table = np.searchsorted(codes(i + j), codes(i)[:, None] + codes(j)[None, :])
-    table.flags.writeable = False
-    return table
+    index = {code: k for k, code in enumerate(codes(i + j))}
+    right = codes(j)
+    return tuple(tuple(index[a + b] for b in right) for a in codes(i))
 
 
 class Poly:
@@ -228,7 +227,8 @@ class Poly:
         return hash((self.ring, tuple(sorted(self.terms.items()))))
 
     def coefficient_vector(self, d=None):
-        """Coefficients over the degree-d monomial basis (homogeneous input)."""
+        """Coefficients over the degree-d monomial basis (homogeneous input),
+        as a dict row {monomial index: nonzero coefficient}."""
         if d is None:
             d = self.degree()
             if d < 0:
@@ -236,15 +236,13 @@ class Poly:
         if not self.is_homogeneous():
             raise ValueError("polynomial is not homogeneous")
         idx = self.ring.monomial_index(d)
-        v = [self.ring.field.zero] * len(idx)
-        for e, c in self.terms.items():
-            v[idx[e]] = c
-        return v
+        return {idx[e]: c for e, c in self.terms.items()}
 
     @classmethod
     def from_vector(cls, ring, d, vec):
+        """The degree-d polynomial with the coefficients of a dict row."""
         basis = ring.monomial_basis(d)
-        return cls(ring, {e: c for e, c in zip(basis, vec) if c})
+        return cls(ring, {basis[c]: x for c, x in vec.items()})
 
     def __str__(self):
         if not self.terms:

@@ -115,8 +115,8 @@ def test_connected_sum_formula_table3_left():
 
 
 def test_connected_sum_rejects_low_socle_degree():
-    with pytest.raises(ValueError, match="socle degree must be >= 3"):
-        betti_connected_sum_K([ci_table([2])] * 2, (1, 1), 2)
+    with pytest.raises(ValueError, match="socle degree must be >= 2"):
+        betti_connected_sum_K([ci_table([2])] * 2, (1, 1), 1)
 
 
 def test_connected_sum_rejects_non_gorenstein_factor():
@@ -208,10 +208,10 @@ def reference_fiber_product(tables, n_vec):
 
 
 def reference_connected_sum(tables, n_vec, e):
-    if e < 3:
-        raise ValueError(
-            "socle degree must be >= 3; use betti_socle2 or the Koszul oracle"
-        )
+    # the term-by-term sum holds at e = 2 as well, where both strands it
+    # adds are strand 1
+    if e < 2:
+        raise ValueError("socle degree must be >= 2; use the Koszul oracle")
     if len(tables) != len(n_vec) or len(tables) < 2:
         raise ValueError("one factor table per variable block, at least two")
     _validate_reference(tables)

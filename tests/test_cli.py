@@ -1,11 +1,16 @@
 """CLI: file parsing, commands, exit codes, machine output round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import gorensum
 from gorensum.betti import BettiTable
 from gorensum.cli import differential_suite, main, parse_algebra_file
 
@@ -114,6 +119,137 @@ def test_rational_coefficients_golden_output(tmp_path, capsys):
     assert main(["connected-sum", paths["a"], paths["b"], "--method", "both",
                  "--output", "machine"]) == 0
     assert capsys.readouterr().out == RATIONAL_CONNECTED_SUM + "\n"
+
+
+# the README commands over GF(32003), and the exact machine output and exit
+# code each gives
+GF_FILES = {
+    "a": {"variables": ["x", "y", "z"], "dual_generator": "x^2*y^3*z^3"},
+    "b": {"variables": ["u", "v"], "dual_generator": "u^4*v^4"},
+    "c": {"variables": ["w"], "dual_generator": "w^8"},
+    "j": {"variables": ["x", "y", "z"], "ideal": ["x*y", "x*z", "y*z"]},
+    "i": {"variables": ["x", "y", "z"],
+          "ideal": ["x*y", "x*z", "y*z", "x^3+y^3", "x^3+z^3"]},
+    "bad": {"variables": ["x", "y", "z"], "ideal": ["x*y", "x*z", "y*z", "x^3"]},
+    "ci": {"variables": ["x", "y", "z"], "ideal": ["x^2", "y^2", "z^2"]},
+}
+GF_GOLDEN = [
+    (('hilbert', 'a'), 0,
+     '{"hilbert": [1, 3, 6, 9, 10, 9, 6, 3, 1]}'),
+    (('annihilator', 'a'), 0,
+     '{"hilbert": [1, 3, 6, 9, 10, 9, 6, 3, 1], "ideal": ["x^3", "y^4", "z^4"]}'),
+    (('betti', 'a'), 0,
+     '{"betti": [[0, 0, 1], [1, 3, 1], [1, 4, 2], [2, 7, 2], [2, 8, 1], [3, 11, 1]'
+     '], "hilbert": [1, 3, 6, 9, 10, 9, 6, 3, 1], "poincare": "1 + t*s^3 + 2*t*s^4'
+     ' + 2*t^2*s^7 + t^2*s^8 + t^3*s^11"}'),
+    (('fiber-product', 'a', 'b', '--method', 'both'), 0,
+     '{"agree": true, "betti": [[0, 0, 1], [1, 2, 6], [1, 3, 1], [1, 4, 2], [1, 5,'
+     ' 2], [2, 3, 9], [2, 4, 2], [2, 5, 4], [2, 6, 6], [2, 7, 2], [2, 8, 1], [2, 1'
+     '0, 1], [3, 4, 5], [3, 5, 1], [3, 6, 2], [3, 7, 6], [3, 8, 4], [3, 9, 2], [3,'
+     ' 11, 4], [4, 5, 1], [4, 8, 2], [4, 9, 2], [4, 10, 1], [4, 12, 5], [5, 13, 2]'
+     '], "hilbert": [1, 5, 9, 13, 15, 13, 9, 5, 2], "poincare": "1 + 6*t*s^2 + t*s'
+     '^3 + 2*t*s^4 + 2*t*s^5 + 9*t^2*s^3 + 2*t^2*s^4 + 4*t^2*s^5 + 6*t^2*s^6 + 2*t'
+     '^2*s^7 + t^2*s^8 + t^2*s^10 + 5*t^3*s^4 + t^3*s^5 + 2*t^3*s^6 + 6*t^3*s^7 + '
+     '4*t^3*s^8 + 2*t^3*s^9 + 4*t^3*s^11 + t^4*s^5 + 2*t^4*s^8 + 2*t^4*s^9 + t^4*s'
+     '^10 + 5*t^4*s^12 + 2*t^5*s^13"}'),
+    (('connected-sum', 'a', 'b', 'c', '--method', 'both'), 0,
+     '{"agree": true, "betti": [[0, 0, 1], [1, 2, 11], [1, 3, 1], [1, 4, 2], [1, 5'
+     ', 2], [1, 8, 2], [2, 3, 25], [2, 4, 3], [2, 5, 6], [2, 6, 8], [2, 7, 2], [2,'
+     ' 8, 1], [2, 9, 11], [3, 4, 24], [3, 5, 3], [3, 6, 6], [3, 7, 12], [3, 8, 6],'
+     ' [3, 9, 3], [3, 10, 24], [4, 5, 11], [4, 6, 1], [4, 7, 2], [4, 8, 8], [4, 9,'
+     ' 6], [4, 10, 3], [4, 11, 25], [5, 6, 2], [5, 9, 2], [5, 10, 2], [5, 11, 1], '
+     '[5, 12, 11], [6, 14, 1]], "hilbert": [1, 6, 10, 14, 16, 14, 10, 6, 1], "poin'
+     'care": "1 + 11*t*s^2 + t*s^3 + 2*t*s^4 + 2*t*s^5 + 2*t*s^8 + 25*t^2*s^3 + 3*'
+     't^2*s^4 + 6*t^2*s^5 + 8*t^2*s^6 + 2*t^2*s^7 + t^2*s^8 + 11*t^2*s^9 + 24*t^3*'
+     's^4 + 3*t^3*s^5 + 6*t^3*s^6 + 12*t^3*s^7 + 6*t^3*s^8 + 3*t^3*s^9 + 24*t^3*s^'
+     '10 + 11*t^4*s^5 + t^4*s^6 + 2*t^4*s^7 + 8*t^4*s^8 + 6*t^4*s^9 + 3*t^4*s^10 +'
+     ' 25*t^4*s^11 + 2*t^5*s^6 + 2*t^5*s^9 + 2*t^5*s^10 + t^5*s^11 + 11*t^5*s^12 +'
+     ' t^6*s^14"}'),
+    (('betti', 'a', 'b', '--construction', 'connected-sum', '--method', 'both'), 0,
+     '{"agree": true, "betti": [[0, 0, 1], [1, 2, 6], [1, 3, 1], [1, 4, 2], [1, 5,'
+     ' 2], [1, 8, 1], [2, 3, 9], [2, 4, 2], [2, 5, 4], [2, 6, 6], [2, 7, 2], [2, 8'
+     ', 1], [2, 9, 5], [3, 4, 5], [3, 5, 1], [3, 6, 2], [3, 7, 6], [3, 8, 4], [3, '
+     '9, 2], [3, 10, 9], [4, 5, 1], [4, 8, 2], [4, 9, 2], [4, 10, 1], [4, 11, 6], '
+     '[5, 13, 1]], "hilbert": [1, 5, 9, 13, 15, 13, 9, 5, 1], "poincare": "1 + 6*t'
+     '*s^2 + t*s^3 + 2*t*s^4 + 2*t*s^5 + t*s^8 + 9*t^2*s^3 + 2*t^2*s^4 + 4*t^2*s^5'
+     ' + 6*t^2*s^6 + 2*t^2*s^7 + t^2*s^8 + 5*t^2*s^9 + 5*t^3*s^4 + t^3*s^5 + 2*t^3'
+     '*s^6 + 6*t^3*s^7 + 4*t^3*s^8 + 2*t^3*s^9 + 9*t^3*s^10 + t^4*s^5 + 2*t^4*s^8 '
+     '+ 2*t^4*s^9 + t^4*s^10 + 6*t^4*s^11 + t^5*s^13"}'),
+    (('doubling-check', 'j', 'i'), 0,
+     '{"checks": {"cm1": true, "containment": true, "gorenstein": true, "hilbert_m'
+     'atch": true, "shift": true}, "note": "necessary conditions only: I/J is comp'
+     'ared with omega at the Hilbert level; the G_0 hypothesis is assumed, not che'
+     'cked", "t": 3, "verdict": "pass"}'),
+    (('doubling-check', 'j', 'bad'), 1,
+     '{"checks": {"cm1": true, "containment": true, "gorenstein": false, "hilbert_'
+     'match": false, "shift": false}, "reasons": {"gorenstein": "not Gorenstein: H'
+     'ilbert function is constant (2) from degree 3 on; not Artinian", "hilbert_ma'
+     'tch": "skipped: earlier check failed", "shift": "skipped: earlier check fail'
+     'ed"}, "verdict": "fail: gorenstein (not Gorenstein: Hilbert function is cons'
+     'tant (2) from degree 3 on; not Artinian)"}'),
+    (('doubling-check', 'j', 'ci'), 1,
+     '{"checks": {"cm1": true, "containment": false, "gorenstein": true, "hilbert_'
+     'match": false, "shift": false}, "reasons": {"containment": "J is not contain'
+     'ed in I in degree 2", "hilbert_match": "skipped: earlier check failed", "shi'
+     'ft": "skipped: earlier check failed"}, "verdict": "fail: containment (J is n'
+     'ot contained in I in degree 2)"}'),
+]
+
+
+def test_prime_field_golden_output(tmp_path, capsys):
+    paths = {name: write(tmp_path, f"{name}.json", {"field": {"prime": 32003}, **payload})
+             for name, payload in GF_FILES.items()}
+    for argv, code, expected in GF_GOLDEN:
+        assert main([paths.get(x, x) for x in argv] + ["--output", "machine"]) == code
+        assert capsys.readouterr().out == expected + "\n"
+
+
+def test_socle_degree_two_connected_sum_agrees(tmp_path, capsys):
+    a = write(tmp_path, "a.json", {"variables": ["x", "y"], "field": {"prime": 32003},
+                                   "dual_generator": "x*y"})
+    b = write(tmp_path, "b.json", {"variables": ["z"], "field": {"prime": 32003},
+                                   "dual_generator": "z^2"})
+    assert main(["connected-sum", a, b, "--method", "both", "--output", "machine"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["agree"] is True and payload["hilbert"] == [1, 3, 1]
+
+
+def test_sparse_dual_generator_in_many_variables(tmp_path, capsys):
+    # x0^4 in 40 variables: the zero slice in degree 5 reads no basis, so
+    # the Hilbert function needs none of the 1,086,008 degree-5 monomials;
+    # the annihilator's own degree-5 generator does, and is refused
+    path = write(tmp_path, "wide.json", {"variables": [f"x{k}" for k in range(40)],
+                                         "field": {"prime": 32003},
+                                         "dual_generator": "x0^4"})
+    assert main(["hilbert", path]) == 0
+    assert capsys.readouterr().out == "1 1 1 1 1\n"
+    assert main(["annihilator", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: the degree-5 monomial basis in 40 variables has over 10000000 "
+        "exponent entries\n"
+    )
+
+
+def test_runs_without_numpy(tmp_path, factor_files):
+    # in a fresh interpreter the CLI imports no numpy, and with numpy made
+    # unimportable it still answers over GF(32003) and QQ
+    script = textwrap.dedent(f"""
+        import sys
+        from gorensum.cli import main
+        if "numpy" in sys.modules:
+            sys.exit("numpy was imported")
+        sys.modules["numpy"] = None
+        a, b = {list(factor_files)!r}
+        sys.exit(max(main(["connected-sum", a, b, "--method", "both"]),
+                     main(["connected-sum", a, b, "--method", "both", "--field", "QQ"]),
+                     main(["verify", "--seed", "7", "--count", "3"])))
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gorensum.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("formula and oracle agree") == 2
+    assert "all 3 instances agree (seed 7)" in proc.stdout
 
 
 def test_connected_sum_both_agrees(factor_files, capsys):

@@ -2,7 +2,6 @@
 
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -114,12 +113,11 @@ class MultiplyUpSlices:
     def _multiply_up(self, d, rows):
         ring = self.ring
         variables = [ring.var_poly(v) for v in ring.variables]
-        products = [
+        return [
             (x * Poly.from_vector(ring, d, row)).coefficient_vector(d + 1)
-            for row in rows.tolist()
+            for row in rows
             for x in variables
         ]
-        return linalg.to_array(ring.field, products, len(ring.monomial_basis(d + 1)))
 
     def slice(self, d):
         f = self.ring.field
@@ -131,10 +129,8 @@ class MultiplyUpSlices:
             else:
                 rows = [g.coefficient_vector(e) for g in self.gens if g.degree() == e]
                 if e:
-                    rows += self._multiply_up(e - 1, self._slices[-1][0]).tolist()
-            self._slices.append(
-                linalg._reduce_rows(f, linalg.to_array(f, rows, ncols), ncols)
-            )
+                    rows += self._multiply_up(e - 1, self._slices[-1][0])
+            self._slices.append(linalg._reduce_rows(f, rows, ncols))
         return self._slices[d]
 
     def codim(self, d):
@@ -156,16 +152,16 @@ class MultiplyUpSlices:
         for m in self.quotient_monomials(d):
             e = list(ring.monomial_basis(d)[m])
             e[k] += 1
-            vec = [ring.field.zero] * len(up_index)
-            vec[up_index[tuple(e)]] = ring.field.one
-            out.append(self.reduce(d + 1, vec)[up_q].tolist())
+            reduced = self.reduce(d + 1, {up_index[tuple(e)]: ring.field.one})
+            out.append({b: reduced[c] for b, c in enumerate(up_q) if c in reduced})
         return out
 
     def socle(self, d):
         f = self.ring.field
+        h, h1 = self.codim(d), self.codim(d + 1)
         cols = [self.multiplication(k, d) for k in range(self.ring.nvars)]
-        rows = [list(r) for m in cols for r in zip(*m)] if cols else []
-        return linalg.kernel_rows(f, linalg.to_array(f, rows, self.codim(d)), self.codim(d))
+        rows = [row for m in cols for row in linalg.transpose(m, h1)]
+        return linalg.kernel_rows(f, rows, h)
 
 
 def random_form(rng, ring, d, terms=3):
@@ -212,18 +208,17 @@ def test_inverse_system_engine_matches_multiply_up(field, kind, seed):
         ncols = len(ring.monomial_basis(d))
         phi = ideal.dual(d)[0]
         rows, piv = ref.slice(d)
-        assert not linalg.matmul(field, phi, rows.T).any()
+        assert not any(linalg.matmul(field, phi, linalg.transpose(rows, ncols)))
         assert len(phi) + len(rows) == ncols == ideal.codim(d) + ideal.dim(d)
         assert linalg.echelon_equal(ideal.slice(d), (rows, piv))
         assert ideal.quotient_monomials(d) == ref.quotient_monomials(d)
-        vecs = linalg.to_array(
-            field, [random_form(rng, ring, d).coefficient_vector(d) for _ in range(3)], ncols
-        )
-        assert np.array_equal(ideal.reduce(d, vecs), ref.reduce(d, vecs))
-        assert ideal.socle(d).tolist() == ref.socle(d).tolist()
+        for _ in range(3):
+            vec = random_form(rng, ring, d).coefficient_vector(d)
+            assert ideal.reduce(d, vec) == ref.reduce(d, vec)
+        assert ideal.socle(d) == ref.socle(d)
         if d < top:
             for k in range(ring.nvars):
-                assert ideal.multiplication(d)[k].T.tolist() == ref.multiplication(k, d)
+                assert ideal.multiplication(d)[k] == ref.multiplication(k, d)
     assert minimal_generators(ideal, top) == minimal_generators(ref, top)
     scan = Algebra(ring, gens, degree_cap=8).hilbert_scan()
     assert scan == Algebra.from_slices(MultiplyUpSlices(ring, gens), degree_cap=8).hilbert_scan()
@@ -236,17 +231,18 @@ def test_canonical_form_depends_only_on_the_span(field, seed, rank, ncols):
     rng = random.Random(seed)
     draw = (lambda: rng.randrange(field.p)) if field.is_prime_field else (
         lambda: field.of(rng.randint(-3, 3)))
-    rows = linalg.to_array(field, [[draw() for _ in range(ncols)] for _ in range(rank)], ncols)
+    rows = [{c: x for c in range(ncols) if (x := draw())} for _ in range(rank)]
     e, q = canonical(field, rows, ncols)
     assert len(q) == len(e) == linalg.rank(linalg.Matrix(field, rank, ncols, rows))
-    assert q == sorted(q) and np.array_equal(e[:, q], np.eye(len(q), dtype=np.int64))
-    assert all(not row[c + 1:].any() for row, c in zip(e, q))
+    assert q == sorted(q) and [{c: row[c] for c in q if c in row} for row in e] == [
+        {c: 1} for c in q]
+    assert all(max(row) == c for row, c in zip(e, q))
     # another spanning set of the same space: combinations of the rows
     # appended, then every row shuffled
-    mix = linalg.to_array(field, [[draw() for _ in range(rank)] for _ in range(rng.randrange(3))], rank)
-    other = np.concatenate([rows, linalg.matmul(field, mix, rows)]) if rank else rows
-    other = other[rng.sample(range(len(other)), len(other))]
+    mix = [{c: x for c in range(rank) if (x := draw())} for _ in range(rng.randrange(3))]
+    other = rows + linalg.matmul(field, mix, rows)
+    other = rng.sample(other, len(other))
     assert linalg.echelon_equal(canonical(field, other, ncols), (e, q))
     # and E spans no more than the rows do
-    stacked = np.concatenate([rows, e])
+    stacked = rows + e
     assert linalg.rank(linalg.Matrix(field, len(stacked), ncols, stacked)) == len(q)

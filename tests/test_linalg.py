@@ -3,7 +3,6 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,19 +16,30 @@ F7 = GF(7)
 Fp = GF(32003)
 
 
+def sparse(rows):
+    """Dense rows as dict rows {column: nonzero entry}."""
+    return [{c: x for c, x in enumerate(r) if x} for r in rows]
+
+
+def dense(field, rows, ncols):
+    """Dict rows as dense lists, zeros filled in."""
+    return [[r.get(c, field.zero) for c in range(ncols)] for r in rows]
+
+
 def mat(field, rows):
     ncols = len(rows[0]) if rows else 0
     entries = [[field.of(x) for x in r] for r in rows]
-    return Matrix(field, len(rows), ncols, linalg.to_array(field, entries, ncols))
+    return Matrix(field, len(rows), ncols, sparse(entries))
 
 
 def mul_vector(field, m, v):
-    """Reference product of a Matrix with a vector, in field arithmetic."""
+    """Reference product of a Matrix with a dict-row vector, in field
+    arithmetic."""
     out = []
-    for row in m.rows.tolist():
+    for row in m.rows:
         acc = field.zero
-        for a, b in zip(row, v):
-            acc = field.add(acc, field.mul(a, b))
+        for c, a in row.items():
+            acc = field.add(acc, field.mul(a, v.get(c, field.zero)))
         out.append(acc)
     return out
 
@@ -38,14 +48,14 @@ def test_rref_identity_fixed_point():
     m = mat(QQ, [[int(r == c) for c in range(4)] for r in range(4)])
     red, piv = linalg.rref(m)
     assert piv == [0, 1, 2, 3]
-    assert red.rows.tolist() == m.rows.tolist()
+    assert red.rows == m.rows
 
 
 def test_rref_simple_rational():
     m = mat(QQ, [[2, 4], [1, 2], [0, 1]])
     red, piv = linalg.rref(m)
     assert piv == [0, 1]
-    assert red.rows.tolist() == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    assert dense(QQ, red.rows, 2) == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
 
 
 def test_rank_matches_both_engines():
@@ -94,7 +104,7 @@ def test_kernel_vectors_annihilate(rows):
         m = mat(field, rows)
         ker = linalg.kernel_basis(m)
         for j in range(ker.ncols):
-            v = [ker.rows[i][j] for i in range(ker.nrows)]
+            v = {i: ker.rows[i][j] for i in range(ker.nrows) if j in ker.rows[i]}
             assert not any(mul_vector(field, m, v))
 
 
@@ -105,7 +115,7 @@ def test_rref_is_idempotent(rows):
     red1, piv1 = linalg.rref(m)
     red2, piv2 = linalg.rref(red1)
     assert piv1 == piv2
-    assert red1.rows.tolist() == red2.rows.tolist()
+    assert red1.rows == red2.rows
 
 
 @given(random_matrix(), st.randoms(use_true_random=False))
@@ -114,14 +124,14 @@ def test_row_space_invariant_under_shuffle(rows, rnd):
     shuffled = list(rows)
     rnd.shuffle(shuffled)
     for field in (QQ, Fp):
-        a = [[field.of(x) for x in r] for r in rows]
-        b = [[field.of(x) for x in r] for r in shuffled]
+        a = sparse([[field.of(x) for x in r] for r in rows])
+        b = sparse([[field.of(x) for x in r] for r in shuffled])
         assert linalg.row_space_equal(field, a, b, len(rows[0]))
 
 
 def test_row_space_equal_detects_difference():
-    a = [[F7.of(1), F7.of(0)], [F7.of(0), F7.of(1)]]
-    b = [[F7.of(1), F7.of(1)]]
+    a = sparse([[F7.of(1), F7.of(0)], [F7.of(0), F7.of(1)]])
+    b = sparse([[F7.of(1), F7.of(1)]])
     assert not linalg.row_space_equal(F7, a, b, 2)
     assert not linalg.row_space_equal(F7, b, a, 2)
 
@@ -129,10 +139,10 @@ def test_row_space_equal_detects_difference():
 def test_row_space_intersection():
     # <e1, e2> cap <e2, e3> = <e2>
     f = QQ
-    a = [[f.of(1), f.of(0), f.of(0)], [f.of(0), f.of(1), f.of(0)]]
-    b = [[f.of(0), f.of(1), f.of(0)], [f.of(0), f.of(0), f.of(1)]]
+    a = sparse([[f.of(1), f.of(0), f.of(0)], [f.of(0), f.of(1), f.of(0)]])
+    b = sparse([[f.of(0), f.of(1), f.of(0)], [f.of(0), f.of(0), f.of(1)]])
     inter = linalg.row_space_intersection(f, a, b, 3)
-    assert inter.tolist() == [[f.of(0), f.of(1), f.of(0)]]
+    assert dense(f, inter, 3) == [[f.of(0), f.of(1), f.of(0)]]
 
 
 @given(random_matrix())
@@ -140,8 +150,8 @@ def test_row_space_intersection():
 def test_intersection_contained_in_both(rows):
     f = Fp
     half = max(1, len(rows) // 2)
-    a = [[f.of(x) for x in r] for r in rows[:half]]
-    b = [[f.of(x) for x in r] for r in rows[half:]] or a
+    a = sparse([[f.of(x) for x in r] for r in rows[:half]])
+    b = sparse([[f.of(x) for x in r] for r in rows[half:]]) or a
     inter = linalg.row_space_intersection(f, a, b, len(rows[0]))
     for side in (a, b):
         red, piv = linalg._reduce_rows(f, side, len(rows[0]))
@@ -151,12 +161,13 @@ def test_intersection_contained_in_both(rows):
 
 def test_echelon_basis_incremental():
     eb = EchelonBasis(QQ, 3)
-    assert eb.insert([QQ.of(1), QQ.of(2), QQ.of(3)]) is not None
-    assert eb.insert([QQ.of(2), QQ.of(4), QQ.of(6)]) is None
-    assert eb.insert([QQ.of(0), QQ.of(1), QQ.of(0)]) is not None
+    vec = lambda *xs: sparse([[QQ.of(x) for x in xs]])[0]
+    assert eb.insert(vec(1, 2, 3)) is not None
+    assert eb.insert(vec(2, 4, 6)) is None
+    assert eb.insert(vec(0, 1, 0)) is not None
     assert eb.dim == 2
-    assert eb.contains([QQ.of(1), QQ.of(3), QQ.of(3)])
-    assert not eb.contains([QQ.of(0), QQ.of(0), QQ.of(1)])
+    assert eb.contains(vec(1, 3, 3))
+    assert not eb.contains(vec(0, 0, 1))
 
 
 def test_solve_particular():
@@ -174,7 +185,7 @@ def test_solve_underdetermined_takes_canonical_solution():
     m = mat(QQ, [[1, 1, 1]])
     x = linalg.solve_particular(m, [QQ.of(3)])
     # free variables pinned to zero
-    assert x.tolist() == [QQ.of(3), QQ.of(0), QQ.of(0)]
+    assert dense(QQ, [x], 3) == [[QQ.of(3), QQ.of(0), QQ.of(0)]]
 
 
 def test_gf_requires_prime():
@@ -226,10 +237,10 @@ def test_prime_engine_is_exact_for_every_accepted_prime():
     top = GF(LARGEST_PRIME)
     for seed in range(3):
         rows = rank_six_product(LARGEST_PRIME, seed)
-        red, piv = linalg._reduce_rows(top, rows, 12)
+        red, piv = linalg._reduce_rows(top, sparse(rows), 12)
         ref_rows, ref_piv = rref_reference(top, rows, 12)
         assert piv == ref_piv and len(piv) == 6
-        assert red.tolist() == ref_rows
+        assert dense(top, red, 12) == ref_rows
 
 
 def test_matmul_is_exact_for_every_accepted_prime():
@@ -239,10 +250,9 @@ def test_matmul_is_exact_for_every_accepted_prime():
         for inner in (1, 2, 3, 40):
             a = [[rng.randrange(p) for _ in range(inner)] for _ in range(4)]
             b = [[rng.randrange(p) for _ in range(5)] for _ in range(inner)]
-            got = linalg.matmul(F, linalg.to_array(F, a, inner), linalg.to_array(F, b, 5))
-            assert got.dtype == np.int64
-            assert got.tolist() == [[sum(x * y for x, y in zip(r, col)) % p
-                                     for col in zip(*b)] for r in a]
+            got = linalg.matmul(F, sparse(a), sparse(b))
+            assert dense(F, got, 5) == [[sum(x * y for x, y in zip(r, col)) % p
+                                         for col in zip(*b)] for r in a]
 
 
 def test_gf_refuses_primes_too_large_for_int64():
@@ -299,17 +309,19 @@ def test_array_engine_matches_reference_rref(shaped):
     rows, ncols = shaped
     for field in (F7, Fp, QQ):
         entries = [[field.of(x) for x in r] for r in rows]
-        red, piv = linalg._reduce_rows(field, linalg.to_array(field, entries, ncols), ncols)
+        red, piv = linalg._reduce_rows(field, sparse(entries), ncols)
         ref_rows, ref_piv = rref_reference(field, entries, ncols)
-        assert red.shape == (len(ref_piv), ncols)
+        assert len(red) == len(ref_piv)
         assert piv == ref_piv
-        assert red.tolist() == ref_rows
-        assert linalg.pivot_columns(field, entries, ncols) == ref_piv
-    # the pivots alone, from unreduced representatives and from QQ rows of
-    # ints, over every size of prime GF accepts
+        assert dense(field, red, ncols) == ref_rows
+        assert linalg.pivot_columns(field, sparse(entries), ncols) == ref_piv
+    # the pivots alone, over every size of prime GF accepts, and from QQ
+    # rows of ints
     for field in (GF(2), F7, Fp, GF(2147483647), QQ):
-        ref_piv = rref_reference(field, [[field.of(x) for x in r] for r in rows], ncols)[1]
-        assert linalg.pivot_columns(field, rows, ncols) == ref_piv
+        entries = [[field.of(x) for x in r] for r in rows]
+        ref_piv = rref_reference(field, entries, ncols)[1]
+        assert linalg.pivot_columns(field, sparse(entries), ncols) == ref_piv
+    assert linalg.pivot_columns(QQ, sparse(rows), ncols) == ref_piv
 
 
 def koszul_like_matrix(rng, field, nrows, ncols, density):
@@ -340,25 +352,20 @@ def test_engine_matches_reference_at_koszul_shapes():
     for F in (GF(2), GF(7), GF(32003), GF(2147483647), QQ):
         for nrows, ncols, density in shapes:
             rows = given_rows = koszul_like_matrix(rng, F, nrows, ncols, density)
-            if F.is_prime_field:
-                # other representatives, zeros included, are reduced on the way in
-                given_rows = [[x + F.p * rng.choice((-1, 0, 0, 2)) for x in r] for r in rows]
-            red, piv = linalg._reduce_rows(F, given_rows, ncols)
+            red, piv = linalg._reduce_rows(F, sparse(rows), ncols)
             ref_rows, ref_piv = rref_reference(F, rows, ncols)
             assert piv == ref_piv
-            assert red.tolist() == ref_rows
-            assert red.shape == (len(ref_piv), ncols) and red.flags.c_contiguous
+            assert dense(F, red, ncols) == ref_rows
+            assert len(red) == len(ref_piv)
             if F.is_prime_field:
-                assert red.dtype == np.int64
-                assert ((red >= 0) & (red < F.p)).all()
+                assert all(0 < x < F.p for r in red for x in r.values())
             else:
-                assert red.dtype == object
-                assert all(type(x) is Fraction for x in red.flat)
+                assert all(type(x) is Fraction for r in red for x in r.values())
                 # the same rows cleared of their denominators (all divide
                 # lcm(1..12)), as Python ints: the same span, the same pivots
                 given_rows = [[int(x * 27720) for x in r] for r in rows]
-            assert linalg.pivot_columns(F, given_rows, ncols) == ref_piv
-            assert linalg.pivot_columns(F, linalg.to_array(F, rows, ncols), ncols) == ref_piv
+            assert linalg.pivot_columns(F, sparse(given_rows), ncols) == ref_piv
+            assert linalg.pivot_columns(F, sparse(rows), ncols) == ref_piv
             # the nonzero rows as dicts, as the Koszul oracle gives them: the
             # same pivots, and the dicts are left as they were
             dict_rows = [{c: x for c, x in enumerate(r) if x} for r in rows]
@@ -380,13 +387,13 @@ def reference_slice(ring, gens, d):
     for g in gens:
         if g.degree() <= d:
             for e in ring.monomial_basis(d - g.degree()):
-                rows.append((Poly(ring, {e: f.one}) * g).coefficient_vector(d))
+                rows += dense(f, [(Poly(ring, {e: f.one}) * g).coefficient_vector(d)], ncols)
     return rref_reference(f, rows, ncols)
 
 
 def test_slice_reduction_over_a_large_prime_is_exact():
-    # over GF(2^31 - 1) an int64 sum of three products can overflow, so
-    # larger slices are multiplied in Python integers, exactly
+    # over GF(2^31 - 1) an int64 sum of three products could overflow;
+    # slices on both sides of that size reduce exactly
     p = 2147483647
     F = GF(p)
     ring = Ring(["x", "y"], F)
@@ -409,11 +416,12 @@ def test_slice_reduction_over_a_large_prime_is_exact():
             expected = vec
             for row, c in zip(ref_rows, ref_piv):
                 expected = [(a - expected[c] * b) % p for a, b in zip(expected, row)]
-            got = slices.reduce(d, vec).tolist()
+            got = dense(F, [slices.reduce(d, sparse([vec])[0])], ncols)[0]
             assert got == expected
-            assert slices.contains(Poly.from_vector(ring, d, vec)) == (not any(expected))
+            assert slices.contains(Poly.from_vector(ring, d, sparse([vec])[0])) == (
+                not any(expected))
             lengths.add(ncols)
-    # both the int64 products and the Python-integer ones were exercised
+    # sizes on both sides of the int64 overflow of a sum of products
     assert min(lengths) * (p - 1) ** 2 < 2**63 <= max(lengths) * (p - 1) ** 2
 
 
@@ -433,11 +441,11 @@ def big_rational_rows(rng, nrows, ncols, density):
 
 def assert_rational_echelon(rows, ncols):
     ref_rows, ref_piv = rref_reference(QQ, [[QQ.of(x) for x in r] for r in rows], ncols)
-    red, piv = linalg._rref_rational(rows, ncols)
-    assert piv == ref_piv and red.tolist() == ref_rows
-    assert red.shape == (len(ref_piv), ncols) and red.dtype == object
-    assert all(type(x) is Fraction for x in red.flat)
-    assert linalg.pivot_columns(QQ, rows, ncols) == ref_piv
+    red, piv = linalg._rref_rational(sparse(rows), ncols)
+    assert piv == ref_piv and dense(QQ, red, ncols) == ref_rows
+    assert len(red) == len(ref_piv)
+    assert all(type(x) is Fraction for r in red for x in r.values())
+    assert linalg.pivot_columns(QQ, sparse(rows), ncols) == ref_piv
 
 
 def test_rational_engine_matches_reference_on_large_entries():
@@ -455,9 +463,9 @@ def test_rational_engine_clears_retired_rows_hit_after_later_pivots():
             [0, 0, Fraction(11, 13), Fraction(10**12, 999983)],
             [Fraction(6, 7), 5, Fraction(-8, 9), 2]]
     assert_rational_echelon(rows, 4)
-    red, piv = linalg._rref_rational(rows, 4)
+    red, piv = linalg._rref_rational(sparse(rows), 4)
     assert piv == [0, 1, 2]
-    assert red[:, :3].tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert [r[:3] for r in dense(QQ, red, 4)] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_rational_engine_takes_integer_and_mixed_entries():
@@ -466,42 +474,34 @@ def test_rational_engine_takes_integer_and_mixed_entries():
     assert_rational_echelon([[0, 0, 0], [0, 0, 0]], 3)
 
 
-def fraction_product(a, b):
-    """The plain product of `Fraction` object arrays: the reference."""
-    return np.asarray(a, dtype=object) @ np.asarray(b, dtype=object)
+def fraction_product(a, b, ncols):
+    """The plain product of lists of `Fraction` rows: the reference."""
+    return [[sum((x * r[c] for x, r in zip(row, b)), Fraction(0)) for c in range(ncols)]
+            for row in a]
 
 
-def rational_array(rng, shape, density=0.5):
-    out = np.empty(shape, dtype=object)
-    for idx in np.ndindex(*shape):
-        kind = rng.random()
-        if kind > density:
-            out[idx] = Fraction(0) if kind > (1 + density) / 2 else 0
-        elif kind < density / 3:
-            out[idx] = rng.randint(-50, 50)
-        else:
-            out[idx] = Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**6))
+def rational_rows(rng, shape, density=0.5):
+    nrows, ncols = shape
+    out = [[Fraction(0)] * ncols for _ in range(nrows)]
+    for r in range(nrows):
+        for c in range(ncols):
+            kind = rng.random()
+            if kind < density / 3:
+                out[r][c] = Fraction(rng.randint(-50, 50))
+            elif kind <= density:
+                out[r][c] = Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**6))
     return out
 
 
 def test_rational_matmul_matches_fraction_product():
     rng = random.Random(31)
-    shapes = [((5,), (5, 4)), ((3, 5), (5, 4)), ((1, 1), (1, 1)), ((6, 2), (2, 7)),
-              ((3, 4, 5), (3, 5, 2)), ((3, 4, 5), (5, 2)), ((0, 3), (3, 2)),
-              ((2, 0), (0, 3)), ((0,), (0, 3)), ((2, 3, 0), (2, 0, 4))]
+    shapes = [((1, 5), (5, 4)), ((3, 5), (5, 4)), ((1, 1), (1, 1)), ((6, 2), (2, 7)),
+              ((4, 5), (5, 2)), ((0, 3), (3, 2)), ((2, 0), (0, 3))]
     for sa, sb in shapes:
         for density in (0.0, 0.3, 1.0):
-            a, b = rational_array(rng, sa, density), rational_array(rng, sb, density)
-            got = linalg.matmul(QQ, a, b)
-            want = fraction_product(a, b)
-            assert got.shape == want.shape and got.dtype == object
-            assert all(type(x) is Fraction for x in got.flat)
-            assert got.tolist() == want.tolist()
-
-
-def test_rational_work_arrays_hold_int_zeros():
-    # a Fraction(0) cell would cost a Python call in every truth test
-    z = linalg.zeros(QQ, (3, 4))
-    assert z.dtype == object and z.shape == (3, 4)
-    assert all(type(x) is int and x == 0 for x in z.flat)
-    assert linalg.zeros(GF(7), (2,)).dtype == np.int64
+            a, b = rational_rows(rng, sa, density), rational_rows(rng, sb, density)
+            got = linalg.matmul(QQ, sparse(a), sparse(b))
+            want = fraction_product(a, b, sb[1])
+            assert len(got) == len(want)
+            assert all(type(x) is Fraction for r in got for x in r.values())
+            assert dense(QQ, got, sb[1]) == want

@@ -1,6 +1,7 @@
 """Polynomial rings, grevlex monomial order, parsing, joined rings."""
 
-import numpy as np
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -130,10 +131,7 @@ def shift_table(n, d):
     in a dict of exponent vectors."""
     up = {e: j for j, e in enumerate(_grevlex_basis(n, d + 1))}
     basis = _grevlex_basis(n, d)
-    return np.array(
-        [[up[e[:k] + (e[k] + 1,) + e[k + 1:]] for e in basis] for k in range(n)],
-        dtype=np.intp,
-    ).reshape(n, len(basis))
+    return [[up[e[:k] + (e[k] + 1,) + e[k + 1:]] for e in basis] for k in range(n)]
 
 
 def product_table_by_shifts(n, i, j):
@@ -141,9 +139,10 @@ def product_table_by_shifts(n, i, j):
     degree-j basis one variable at a time, through `shift_table`."""
     factors = [[k for k, e in enumerate(m) for _ in range(e)]
                for m in _grevlex_basis(n, i)]
-    table = np.tile(np.arange(len(_grevlex_basis(n, j))), (len(factors), 1))
+    table = [list(range(len(_grevlex_basis(n, j)))) for _ in factors]
     for t in range(i):
-        table = shift_table(n, j + t)[[[f[t]] for f in factors], table]
+        shift = shift_table(n, j + t)
+        table = [[shift[f[t]][c] for c in row] for f, row in zip(factors, table)]
     return table
 
 
@@ -153,23 +152,23 @@ def test_product_table_matches_successive_shifts():
                     # multiplication by the variables
                     (0, 1, 0), (1, 1, 0), (1, 1, 6), (3, 1, 0), (3, 1, 5), (8, 1, 4)]:
         table = product_table(n, i, j)
-        assert table.dtype == np.intp and not table.flags.writeable
-        assert table.tolist() == product_table_by_shifts(n, i, j).tolist()
+        assert type(table) is tuple and all(type(row) is tuple for row in table)
+        assert [list(row) for row in table] == product_table_by_shifts(n, i, j)
 
 
 def test_product_table_past_the_int64_code_range():
     # 30 variables in base 5 need codes up to 5^30 > 2^63
     n, i, j = 30, 2, 2
     assert (i + j + 1) ** n >= 2**63
-    assert product_table(n, i, j).tolist() == product_table_by_shifts(n, i, j).tolist()
+    assert [list(row) for row in product_table(n, i, j)] == product_table_by_shifts(n, i, j)
 
 
 def test_pair_indices_are_shared_and_read_only():
     for n in range(6):
         ks, ls = pair_indices(n)
-        ref_k, ref_l = np.triu_indices(n, 1)
-        assert ks.tolist() == ref_k.tolist() and ls.tolist() == ref_l.tolist()
+        pairs = list(itertools.combinations(range(n), 2))
+        assert list(ks) == [k for k, _ in pairs] and list(ls) == [l for _, l in pairs]
         assert pair_indices(n)[0] is ks
         for a in (ks, ls):
-            with pytest.raises(ValueError):
-                a[:1] = 0
+            with pytest.raises(TypeError):
+                a[:1] = (0,)
